@@ -212,16 +212,16 @@ func BenchmarkSection55Attack(b *testing.B) {
 }
 
 // hookedHandshake runs one full sans-IO handshake (no simulated network —
-// pure compute, the worst case for observability overhead) with the given
-// hooks installed on both endpoints.
-func hookedHandshake(creds *harness.Credentials, cliHooks, srvHooks tls13.Hooks) error {
+// pure compute, the worst case for observability overhead) for the suite
+// creds were issued under, with the given hooks installed on both endpoints.
+func hookedHandshake(creds *harness.Credentials, kemName, sigName string, cliHooks, srvHooks tls13.Hooks) error {
 	srvCfg := &pqtls.Config{
-		KEMName: "x25519", SigName: "ed25519", ServerName: "server.example",
+		KEMName: kemName, SigName: sigName, ServerName: "server.example",
 		Chain: creds.Chain, PrivateKey: creds.Priv,
 		Hooks: srvHooks,
 	}
 	cliCfg := &pqtls.Config{
-		KEMName: "x25519", SigName: "ed25519", ServerName: "server.example",
+		KEMName: kemName, SigName: sigName, ServerName: "server.example",
 		Roots: creds.Roots,
 		Hooks: cliHooks,
 	}
@@ -269,7 +269,7 @@ func BenchmarkHandshakeHooks(b *testing.B) {
 	}
 	b.Run("none", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := hookedHandshake(creds, nil, nil); err != nil {
+			if err := hookedHandshake(creds, "x25519", "ed25519", nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -277,7 +277,7 @@ func BenchmarkHandshakeHooks(b *testing.B) {
 	b.Run("traced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cli, srv := tracedPair()
-			if err := hookedHandshake(creds, cli, srv); err != nil {
+			if err := hookedHandshake(creds, "x25519", "ed25519", cli, srv); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -303,7 +303,7 @@ func TestTracerOverhead(t *testing.T) {
 		if traced {
 			cli, srv = tracedPair()
 		}
-		return hookedHandshake(creds, cli, srv)
+		return hookedHandshake(creds, "x25519", "ed25519", cli, srv)
 	}
 	// Warm the credential cache, allocator, and code paths.
 	for i := 0; i < 5; i++ {
@@ -338,5 +338,35 @@ func TestTracerOverhead(t *testing.T) {
 	t.Logf("handshake min-of-blocks: none %v, traced %v (limit %v)", minNone, minTraced, limit)
 	if minTraced > limit {
 		t.Errorf("tracer overhead too high: none %v, traced %v (>5%%)", minNone, minTraced)
+	}
+}
+
+// TestSansIOHandshakeAllocs gates the allocation count of one full sans-IO
+// handshake (both endpoints, no hooks) for the two suites bench/pqperf
+// drives live; its tls13.sansio_allocs_per_hs reads 192 for the PQ suite.
+func TestSansIOHandshakeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation defeats escape analysis")
+	}
+	for _, suite := range []struct {
+		kem, sig string
+		max      float64
+	}{
+		{"kyber768", "dilithium3", 200},
+		{"x25519", "ed25519", 160},
+	} {
+		creds, err := harness.CredentialsFor(suite.sig, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := hookedHandshake(creds, suite.kem, suite.sig, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s+%s: %.0f allocs per handshake (limit %.0f)", suite.kem, suite.sig, allocs, suite.max)
+		if allocs > suite.max {
+			t.Errorf("%s+%s handshake allocates %.0f times, want <= %.0f", suite.kem, suite.sig, allocs, suite.max)
+		}
 	}
 }

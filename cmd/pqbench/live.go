@@ -38,28 +38,12 @@ func runLive(args []string) error {
 	hsTimeout := fs.Duration("timeout", 10*time.Second, "per-connection handshake deadline")
 	samples := fs.Int("samples", 5, "modeled-campaign samples for the prediction column")
 	metrics := fs.String("metrics", "", "serve Prometheus /metrics + /healthz on this address for the run (e.g. 127.0.0.1:9090)")
-	pool := fs.Bool("pool", false, "enable the precompute subsystem end to end: key-share factory on the client, amortized chain/verifier caches, signing worker pool on the server")
-	signWorkers := fs.Int("sign-workers", 0, "server signing worker pool size (0 = sign inline; -pool defaults this to 2)")
-	verifyWorkers := fs.Int("verify-workers", 0, "client verification worker pool size: batch in-flight CertificateVerify checks through one multi-sponge pass (0 = verify inline; -pool defaults this to 2)")
-	encapBatch := fs.Int("encap-batch", 0, "server encapsulation batch size: collect concurrent KEM encapsulations into one multi-sponge pass (0 = encapsulate inline; -pool defaults this to 16)")
-	amortize := fs.Bool("amortize", false, "share chain-verification and verifier-context caches across client connections (-pool implies)")
+	amortize := fs.Bool("amortize", false, "share chain-verification and verifier-context caches across client connections")
 	jsonOut := fs.Bool("json", false, "emit the run's Result on stdout in the canonical JSON encoding (the same layout the distributed protocol pins); human-readable chatter moves to stderr")
 	window := fs.Duration("window", 0, "windowed telemetry interval: per-window snapshots, a live progress line, and the timeline in -json output (0 = off)")
 	timelinePath := fs.String("timeline", "", "write the run's timeline artifacts to this path base (.jsonl + .csv; implies -window 1s if unset)")
 	fs.Parse(args)
 	*window = resolveWindow(*window, *timelinePath)
-	if *pool {
-		if *signWorkers == 0 {
-			*signWorkers = 2
-		}
-		if *verifyWorkers == 0 {
-			*verifyWorkers = 2
-		}
-		if *encapBatch == 0 {
-			*encapBatch = 16
-		}
-		*amortize = true
-	}
 
 	policy := tls13.BufferImmediate
 	if *buffer == "default" {
@@ -93,22 +77,9 @@ func runLive(args []string) error {
 		IssueTickets:     *resume,
 		MetricsAddr:      *metrics,
 		PhaseMetrics:     *metrics != "",
-		SignWorkers:      *signWorkers,
-		EncapBatch:       *encapBatch,
 	})
 	if err != nil {
 		return err
-	}
-	var keyPool *harness.KeyPool
-	if *pool {
-		keyPool = harness.NewKeyPool()
-		err := keyPool.StartFactory(harness.FactoryOptions{
-			Suites: []string{*kemName}, Target: 128, LowWater: 32, Batch: 32,
-		})
-		if err != nil {
-			return err
-		}
-		defer keyPool.StopFactory()
 	}
 	// In -json mode stdout carries exactly one JSON document; everything
 	// human-readable moves to stderr.
@@ -135,15 +106,6 @@ func runLive(args []string) error {
 		HandshakeTimeout: *hsTimeout,
 		Resume:           *resume,
 		Amortize:         *amortize,
-	}
-	if keyPool != nil {
-		runOpts.KeyShares = keyPool
-	}
-	var verifyPool *loadgen.VerifyPool
-	if *verifyWorkers > 0 {
-		verifyPool = loadgen.NewVerifyPool(*verifyWorkers, 16, 0)
-		defer verifyPool.Close()
-		runOpts.VerifyPool = verifyPool
 	}
 	var tl *obs.Timeline
 	stopProgress := func() {}
@@ -226,25 +188,6 @@ func runLive(args []string) error {
 	c := srv.Counters()
 	fmt.Printf("server: accepted %d, completed %d (%d resumed), failed %d, accept retries %d\n",
 		c.Accepted, c.Completed, c.Resumed, c.FailedTotal(), c.AcceptRetries)
-	if *signWorkers > 0 {
-		sp := srv.SignPoolStats()
-		fmt.Printf("sign pool: %d workers, %d signatures, %d errors\n", *signWorkers, sp.Signs, sp.Errors)
-	}
-	if *encapBatch > 0 {
-		ep := srv.EncapPoolStats()
-		fmt.Printf("encap pool: batch %d, %d encapsulations (%d batched in %d calls), %d errors\n",
-			*encapBatch, ep.Encaps, ep.Batched, ep.Batches, ep.Errors)
-	}
-	if verifyPool != nil {
-		vp := verifyPool.Stats()
-		fmt.Printf("verify pool: %d workers, %d verifications (%d batched in %d calls)\n",
-			*verifyWorkers, vp.Verifies, vp.Batched, vp.Batches)
-	}
-	if keyPool != nil {
-		st := keyPool.FactoryStats()
-		fmt.Printf("key-share factory: %d generated in %d batches, %d pool hits, %d misses\n",
-			st.Generated, st.Batches, st.Hits, st.Misses)
-	}
 	if *resume {
 		ts := srv.TicketStats()
 		fmt.Printf("tickets: issued %d, redeemed %d, rejected %d\n", ts.Issued, ts.Redeemed, ts.Rejected)

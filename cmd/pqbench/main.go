@@ -79,24 +79,6 @@ func main() {
 		}
 		return
 	}
-	if cmd == "microbench" {
-		// microbench runs the kernel inventory via testing.Benchmark and
-		// emits machine-readable BENCH_*.json — see microbench.go.
-		if err := runMicrobench(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "pqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "benchgate" {
-		// benchgate compares two BENCH_*.json files and fails on
-		// regression — see microbench.go.
-		if err := runBenchGate(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "pqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if cmd == "timeline" {
 		// timeline renders a windowed-telemetry JSONL artifact written by
 		// live/saturate/dist-coordinator -timeline — see timeline.go.
@@ -243,9 +225,7 @@ saturate:   sharded-accept scaling sweep to the host's handshake ceiling (own fl
 dist-coordinator: split one load plan across dist-worker processes, merge bucket-exactly (own flags)
 dist-worker: load-generation worker driven by a dist-coordinator (own flags)
 phases:     per-phase handshake breakdown with span traces (own flags; pqbench phases -h)
-timeline:   render a windowed-telemetry JSONL artifact as a table (pqbench timeline -h)
-microbench: kernel ns/op + allocs/op to BENCH_*.json (own flags; pqbench microbench -h)
-benchgate:  compare two BENCH_*.json, fail on regression (own flags; pqbench benchgate -h)`)
+timeline:   render a windowed-telemetry JSONL artifact as a table (pqbench timeline -h)`)
 }
 
 func ms(d time.Duration) string {

@@ -43,8 +43,6 @@ func runSaturate(args []string) error {
 	shardsFlag := fs.String("shards", "", "comma-separated accept-shard counts to sweep (default 1..GOMAXPROCS)")
 	conns := fs.Int("conns", 256, "max concurrent handshakes (client pool and server limiter)")
 	hsTimeout := fs.Duration("timeout", 10*time.Second, "per-connection handshake deadline")
-	pool := fs.Bool("pool", true, "precompute subsystem end to end: key-share factory, amortized caches, signing workers")
-	signWorkers := fs.Int("sign-workers", 2, "server signing worker pool size when -pool is set")
 	csvPath := fs.String("csv", "", "also write one CSV row per rung to this file")
 	window := fs.Duration("window", 0, "windowed telemetry interval: per-rung progress lines and peak-rung timelines (0 = off)")
 	timelinePath := fs.String("timeline", "", "write each shard count's peak-rung timeline artifacts to <base>_shards<N>.{jsonl,csv} (implies -window 1s if unset)")
@@ -80,18 +78,6 @@ func runSaturate(args []string) error {
 		KEMName: *kemName, SigName: *sigName, ServerName: "server.example", Roots: creds.Roots,
 	}
 
-	var keyPool *harness.KeyPool
-	if *pool {
-		keyPool = harness.NewKeyPool()
-		err := keyPool.StartFactory(harness.FactoryOptions{
-			Suites: []string{*kemName}, Target: 128, LowWater: 32, Batch: 32,
-		})
-		if err != nil {
-			return err
-		}
-		defer keyPool.StopFactory()
-	}
-
 	fmt.Printf("pqbench saturate: %s + %s over loopback, shard sweep %v, ladder from %g/s ×%g (knee %.2f)\n",
 		*kemName, *sigName, shardCounts, *startRate, *growth, *knee)
 
@@ -115,7 +101,6 @@ func runSaturate(args []string) error {
 			MaxConns:         *conns,
 			HandshakeTimeout: *hsTimeout,
 			IssueTickets:     *resume,
-			SignWorkers:      boolInt(*pool) * *signWorkers,
 		}, n)
 		if err != nil {
 			return err
@@ -138,10 +123,7 @@ func runSaturate(args []string) error {
 				MaxConcurrent:    *conns,
 				HandshakeTimeout: *hsTimeout,
 				Resume:           *resume,
-				Amortize:         *pool,
-			}
-			if keyPool != nil {
-				opts.KeyShares = keyPool
+				Amortize:         true,
 			}
 			stopProgress := func() {}
 			if *window > 0 {
@@ -306,11 +288,4 @@ func parseShardSweep(s string, maxShards int) ([]int, []string, error) {
 		out = append(out, v)
 	}
 	return out, warnings, nil
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

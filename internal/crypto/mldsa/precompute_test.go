@@ -103,6 +103,36 @@ func TestPrecomputedContextsConcurrent(t *testing.T) {
 	}
 }
 
+// TestVerifyCachedZeroAlloc pins the pooled-scratch contract of the cached
+// verifier (the client-side per-handshake cost).
+func TestVerifyCachedZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation defeats escape analysis")
+	}
+	rng := sha3.NewShake256()
+	rng.Write([]byte("verify-zero-alloc"))
+	pk, sk, err := Dilithium3.GenerateKey(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, err := Dilithium3.Sign(sk, []byte("hot path"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vk, err := Dilithium3.NewVerifyKey(pk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if !vk.Verify([]byte("hot path"), sig) {
+			t.Fatal("valid signature rejected")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cached Verify allocates %v times per op, want 0", allocs)
+	}
+}
+
 func BenchmarkDilithium3SignCached(b *testing.B) {
 	rng := sha3.NewShake256()
 	rng.Write([]byte("bench-sign-cached"))

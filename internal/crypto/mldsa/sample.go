@@ -156,11 +156,8 @@ func sampleInBallInto(c *poly, seed []byte, tau int, buf *[16]byte) {
 }
 
 // sampleInBallStream runs the in-ball rejection sampler against an
-// already-positioned challenge stream — a single SHAKE256 over the seed,
-// or one lane of a MultiXOF batch expanding many challenges at once. The
-// consumed byte sequence (8 sign bytes, then one byte per rejection step)
-// is identical either way, which is what pins the batch verifier's
-// decisions to the sequential ones.
+// already-positioned challenge stream (SHAKE256 over the seed): 8 sign
+// bytes, then one byte per rejection step.
 func sampleInBallStream(c *poly, r io.Reader, tau int, buf *[16]byte) {
 	signBuf := buf[:8]
 	if _, err := io.ReadFull(r, signBuf); err != nil {

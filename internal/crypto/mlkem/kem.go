@@ -242,7 +242,7 @@ func (p *Params) EncapsulateInto(rng io.Reader, pk, ct, ss []byte) error {
 	if _, err := io.ReadFull(rng, w.m[:]); err != nil {
 		return fmt.Errorf("mlkem: reading message: %w", err)
 	}
-	// Round-3 Kyber hashes the raw randomness first: m = H(m). The batch
+	// Round-3 Kyber hashes the raw randomness first: m = H(m). The
 	// one-shots absorb fully before squeezing, so hashing in place is safe.
 	if p.isShake() {
 		sha3.Sum256Into(w.m[:], w.m[:])
@@ -343,9 +343,8 @@ func (p *Params) pkeEncryptInto(dst, pk, m, coins []byte, w *kemWork) {
 }
 
 // pkeEncryptParts is the noise-parameterized encryption core: noise holds
-// the 2k+1 PRF expansions (r-vector, e1-vector, e2) in nonce order, either
-// freshly expanded (pkeEncryptInto) or batch-expanded across many
-// messages (EncapBatch).
+// the 2k+1 PRF expansions (r-vector, e1-vector, e2) in nonce order, as
+// expanded by pkeEncryptInto.
 func (p *Params) pkeEncryptParts(dst, pk, m []byte, noise [][]byte, w *kemWork) {
 	at, rv, e1, u, tv := w.mat, w.vec1, w.vec2, w.vec3, w.vec4
 	for i := 0; i < p.K; i++ {

@@ -6,6 +6,8 @@ import (
 	"math/big"
 	"testing"
 	"testing/quick"
+
+	"pqtls/internal/crypto/sha3"
 )
 
 var allParams = []*Params{Kyber512, Kyber768, Kyber1024, Kyber90s512, Kyber90s768, Kyber90s1024}
@@ -356,5 +358,39 @@ func TestNTTZeroAlloc(t *testing.T) {
 		p.invNTT()
 	}); n != 0 {
 		t.Errorf("NTT round-trip allocates %v times, want 0", n)
+	}
+}
+
+// TestEncapsulateIntoZeroAlloc pins the zero-alloc contract of the
+// SHAKE-set encapsulation and decapsulation hot paths (the per-connection
+// server and client costs).
+func TestEncapsulateIntoZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation defeats escape analysis")
+	}
+	rng := sha3.NewShake256()
+	rng.Write([]byte("encap-zero-alloc"))
+	pk, sk, err := Kyber768.GenerateKey(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := make([]byte, Kyber768.CiphertextSize())
+	ss := make([]byte, Kyber768.SharedSecretSize())
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := Kyber768.EncapsulateInto(rng, pk, ct, ss); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("EncapsulateInto allocates %v times per op, want 0", allocs)
+	}
+	ss2 := make([]byte, Kyber768.SharedSecretSize())
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := Kyber768.DecapsulateInto(sk, ct, ss2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("DecapsulateInto allocates %v times per op, want 0", allocs)
 	}
 }

@@ -6,10 +6,9 @@ import "sync"
 // one batch. All inputs are absorbed and padded up front and the final
 // permutations run in a single contiguous sweep over one flat lane array,
 // so a batch of short messages (the matrix-expansion seeds of ML-KEM and
-// Dilithium, the PRF inputs of batch keygen) pays one pooled allocation and
-// one cache-resident pass instead of n pool round-trips through separate
-// states. The per-message output is byte-identical to an individual SHAKE
-// computation over the same input.
+// Dilithium) pays one pooled allocation and one cache-resident pass instead
+// of n pool round-trips through separate states. The per-message output is
+// byte-identical to an individual SHAKE computation over the same input.
 //
 // A MultiXOF must not be used concurrently from multiple goroutines, but
 // distinct streams may be squeezed in any order.
@@ -46,11 +45,9 @@ var multiPool = sync.Pool{New: func() any { return new(MultiXOF) }}
 // PutMultiXOF to keep the next call allocation-free.
 func NewMultiShake128(inputs [][]byte) *MultiXOF { return newMulti(168, 0x1F, inputs) }
 
-// NewMultiShake256 is NewMultiShake128 with SHAKE256 parameters.
-func NewMultiShake256(inputs [][]byte) *MultiXOF { return newMulti(136, 0x1F, inputs) }
-
-// PutMultiXOF returns a batch obtained from NewMultiShake* to the pool. The
-// batch and any Stream readers obtained from it must not be used afterwards.
+// PutMultiXOF returns a batch obtained from NewMultiShake128 to the pool.
+// The batch and any Stream readers obtained from it must not be used
+// afterwards.
 func PutMultiXOF(m *MultiXOF) { multiPool.Put(m) }
 
 func newMulti(rate int, ds byte, inputs [][]byte) *MultiXOF {
@@ -141,35 +138,3 @@ func (m *MultiXOF) read(i int, p []byte) {
 // Stream returns an io.Reader squeezing stream i. The reader is owned by
 // the batch: it must not outlive PutMultiXOF and costs no allocation.
 func (m *MultiXOF) Stream(i int) *multiStream { return &m.streams[i] }
-
-// batchSum squeezes len(dsts[i]) bytes of the (rate, ds) sponge over
-// msgs[i] into dsts[i] for every i, sharing one batched absorb pass.
-func batchSum(rate int, ds byte, dsts, msgs [][]byte) {
-	if len(dsts) != len(msgs) {
-		panic("sha3: batch length mismatch")
-	}
-	if len(msgs) == 0 {
-		return
-	}
-	m := newMulti(rate, ds, msgs)
-	for i, d := range dsts {
-		m.read(i, d)
-	}
-	PutMultiXOF(m)
-}
-
-// Sum256Batch computes SHA3-256 of each msgs[i] into dsts[i] (32 bytes
-// each) in one batched sponge pass.
-func Sum256Batch(dsts, msgs [][]byte) { batchSum(136, 0x06, dsts, msgs) }
-
-// Sum512Batch computes SHA3-512 of each msgs[i] into dsts[i] (64 bytes
-// each) in one batched sponge pass.
-func Sum512Batch(dsts, msgs [][]byte) { batchSum(72, 0x06, dsts, msgs) }
-
-// ShakeSum128Batch squeezes len(dsts[i]) bytes of SHAKE128 over msgs[i]
-// into dsts[i] in one batched sponge pass.
-func ShakeSum128Batch(dsts, msgs [][]byte) { batchSum(168, 0x1F, dsts, msgs) }
-
-// ShakeSum256Batch squeezes len(dsts[i]) bytes of SHAKE256 over msgs[i]
-// into dsts[i] in one batched sponge pass.
-func ShakeSum256Batch(dsts, msgs [][]byte) { batchSum(136, 0x1F, dsts, msgs) }

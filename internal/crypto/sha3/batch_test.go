@@ -20,7 +20,7 @@ func TestMultiXOFMatchesSingle(t *testing.T) {
 		ref  func() XOF
 	}{
 		{"shake128", NewMultiShake128, NewShake128},
-		{"shake256", NewMultiShake256, NewShake256},
+		{"shake256", func(in [][]byte) *MultiXOF { return newMulti(136, 0x1F, in) }, NewShake256},
 	}
 	for trial := 0; trial < 2500; trial++ {
 		v := variants[trial%len(variants)]
@@ -68,72 +68,5 @@ func TestMultiXOFMatchesSingle(t *testing.T) {
 			}
 		}
 		PutMultiXOF(m)
-	}
-}
-
-// TestBatchSumsMatchSingle checks the one-shot batch helpers against the
-// established single-message functions.
-func TestBatchSumsMatchSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xbb67ae85))
-	for trial := 0; trial < 1000; trial++ {
-		n := 1 + rng.Intn(10)
-		msgs := make([][]byte, n)
-		for i := range msgs {
-			msgs[i] = make([]byte, rng.Intn(300))
-			rng.Read(msgs[i])
-		}
-		dst := func(size int) [][]byte {
-			out := make([][]byte, n)
-			for i := range out {
-				out[i] = make([]byte, size)
-			}
-			return out
-		}
-
-		d := dst(32)
-		Sum256Batch(d, msgs)
-		for i := range msgs {
-			if want := Sum256(msgs[i]); !bytes.Equal(d[i], want[:]) {
-				t.Fatalf("trial %d: Sum256Batch[%d] mismatch", trial, i)
-			}
-		}
-		d = dst(64)
-		Sum512Batch(d, msgs)
-		for i := range msgs {
-			if want := Sum512(msgs[i]); !bytes.Equal(d[i], want[:]) {
-				t.Fatalf("trial %d: Sum512Batch[%d] mismatch", trial, i)
-			}
-		}
-		outLen := 1 + rng.Intn(200)
-		d = dst(outLen)
-		ShakeSum128Batch(d, msgs)
-		for i := range msgs {
-			if want := ShakeSum128(outLen, msgs[i]); !bytes.Equal(d[i], want) {
-				t.Fatalf("trial %d: ShakeSum128Batch[%d] mismatch", trial, i)
-			}
-		}
-		d = dst(outLen)
-		ShakeSum256Batch(d, msgs)
-		for i := range msgs {
-			if want := ShakeSum256(outLen, msgs[i]); !bytes.Equal(d[i], want) {
-				t.Fatalf("trial %d: ShakeSum256Batch[%d] mismatch", trial, i)
-			}
-		}
-	}
-	// Degenerate shapes must not panic.
-	Sum256Batch(nil, nil)
-	ShakeSum128Batch([][]byte{}, [][]byte{})
-}
-
-func BenchmarkShake128Batch16x34(b *testing.B) {
-	msgs := make([][]byte, 16)
-	dsts := make([][]byte, 16)
-	for i := range msgs {
-		msgs[i] = make([]byte, 34)
-		dsts[i] = make([]byte, 168)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ShakeSum128Batch(dsts, msgs)
 	}
 }

@@ -41,18 +41,6 @@ type CampaignOptions struct {
 	// Timing selects modeled (default) or measured compute time.
 	// TimingReal forces sequential execution.
 	Timing Timing
-	// KeyPool, when non-nil, offers pre-generated client key shares to each
-	// sample. Campaign samples are DRBG-pinned, so RunHandshake's
-	// deterministic-mode bypass keeps the pool out of the measured stream —
-	// rows stay byte-identical with or without a pool (or factory) attached.
-	KeyPool *KeyPool
-	// CVVerifier and Encapsulator offer the client-side verification pool
-	// and server-side encapsulation pool to each sample. Like KeyPool they
-	// are bypassed for DRBG-pinned samples (every campaign sample is), so
-	// attaching them never changes a row — the fields exist so the same
-	// options plumbing serves pinned and unpinned callers.
-	CVVerifier   tls13.CVVerifier
-	Encapsulator tls13.Encapsulator
 }
 
 // CampaignResult aggregates one suite's campaign, i.e. one table row.
@@ -109,16 +97,13 @@ func runCampaignSample(opts CampaignOptions, i int) (*sampleResult, error) {
 	}
 	res, err := RunHandshake(RunOptions{
 		KEM: opts.KEM, Sig: opts.Sig, Link: opts.Link, Buffer: opts.Buffer,
-		Seed:         opts.Seed + int64(i)*7919,
-		Rand:         newSampleDRBG(opts.KEM, opts.Sig, opts.Link.Name, opts.Seed+int64(i)*7919),
-		CWND:         opts.CWND,
-		ChainDepth:   opts.ChainDepth,
-		Resume:       opts.Resume,
-		Timing:       opts.Timing,
-		KeyPool:      opts.KeyPool,
-		CVVerifier:   opts.CVVerifier,
-		Encapsulator: opts.Encapsulator,
-		ClientProf:   s.clientProf, ServerProf: s.serverProf,
+		Seed:       opts.Seed + int64(i)*7919,
+		Rand:       newSampleDRBG(opts.KEM, opts.Sig, opts.Link.Name, opts.Seed+int64(i)*7919),
+		CWND:       opts.CWND,
+		ChainDepth: opts.ChainDepth,
+		Resume:     opts.Resume,
+		Timing:     opts.Timing,
+		ClientProf: s.clientProf, ServerProf: s.serverProf,
 	})
 	if err != nil {
 		return nil, err

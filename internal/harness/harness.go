@@ -185,16 +185,6 @@ type RunOptions struct {
 	// (TimingModel, the default — deterministic) or measured wall time
 	// (TimingReal, the paper's original methodology).
 	Timing Timing
-	// KeyPool, when non-nil, supplies pre-generated client key shares (see
-	// KeyPool); modeled timing is unaffected.
-	KeyPool *KeyPool
-	// CVVerifier, when non-nil, routes the client's CertificateVerify check
-	// through a batching verification pool (loadgen.VerifyPool). Like
-	// KeyPool it serves only unpinned runs — see the bypass note below.
-	CVVerifier tls13.CVVerifier
-	// Encapsulator, when non-nil, routes the server's KEM encapsulation
-	// through a batching pool (live.EncapPool). Same bypass as CVVerifier.
-	Encapsulator tls13.Encapsulator
 	// Rand, when non-nil, seeds both endpoints' randomness. Campaigns
 	// always set it (a per-sample DRBG), pinning the variable-length
 	// randomized signatures that would otherwise jitter flight sizes and
@@ -248,29 +238,6 @@ func RunHandshake(opts RunOptions) (*HandshakeResult, error) {
 		// both endpoints consume it in a deterministic order.
 		cliCfg.Rand = opts.Rand
 		srvCfg.Rand = opts.Rand
-	}
-	// Deterministic-mode bypass: when the run is pinned to a DRBG, taking a
-	// pooled key would skip the client's seed read and shift the shared
-	// stream — whether a given sample drew from the pool then depends on
-	// worker scheduling, and variable-length signatures (Falcon) would make
-	// flight sizes scheduling-dependent too. Pinned runs therefore always
-	// generate inline (same modeled cost either way); the pool serves only
-	// unpinned (live/wall-clock) runs.
-	if opts.KeyPool != nil && opts.Rand == nil {
-		cliCfg.PresetKeyShare = opts.KeyPool.Get(clientKEM)
-	}
-	// The batching pools follow the same bypass: they draw on crypto/rand
-	// and resolve in scheduling-dependent order, so they serve only unpinned
-	// runs. The tls13 endpoints enforce this too (the hooks are ignored when
-	// Config.Rand is set); gating here keeps the invariant visible at the
-	// harness layer and keeps pinned configs hook-free.
-	if opts.Rand == nil {
-		if opts.CVVerifier != nil {
-			cliCfg.CVVerifier = opts.CVVerifier
-		}
-		if opts.Encapsulator != nil {
-			srvCfg.Encapsulator = opts.Encapsulator
-		}
 	}
 	if opts.ServerProf != nil {
 		srvCfg.Hooks = opts.ServerProf

@@ -131,50 +131,6 @@ func TestForEachCoversAllIndexes(t *testing.T) {
 	}
 }
 
-// A key pool must be latency-transparent: the preset key share skips the
-// real keygen compute but the modeled cost is still charged, so results
-// match a pool-less run exactly.
-func TestKeyPoolDoesNotChangeResults(t *testing.T) {
-	t.Parallel()
-	pool := NewKeyPool()
-	if err := pool.Fill("kyber512", 3, 4); err != nil {
-		t.Fatal(err)
-	}
-	base := RunOptions{
-		KEM: "kyber512", Sig: "dilithium2", Link: ScenarioTestbed,
-		Buffer: tls13.BufferImmediate, Seed: 11,
-	}
-	want, err := RunHandshake(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled := base
-	pooled.KeyPool = pool
-	got, err := RunHandshake(pooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Phases != want.Phases {
-		t.Errorf("pooled phases %+v != plain %+v", got.Phases, want.Phases)
-	}
-	if got.ClientBytes != want.ClientBytes || got.ServerBytes != want.ServerBytes {
-		t.Errorf("pooled wire volume (%d,%d) != plain (%d,%d)",
-			got.ClientBytes, got.ServerBytes, want.ClientBytes, want.ServerBytes)
-	}
-	if n := pool.Len("kyber512"); n != 2 {
-		t.Errorf("pool has %d keys left, want 2", n)
-	}
-	// Draining the pool must fall back to live keygen, not fail.
-	for i := 0; i < 3; i++ {
-		if _, err := RunHandshake(pooled); err != nil {
-			t.Fatalf("drained-pool handshake %d: %v", i, err)
-		}
-	}
-	if n := pool.Len("kyber512"); n != 0 {
-		t.Errorf("pool not drained: %d left", n)
-	}
-}
-
 // Sanity-check the example in the package docs: default workers is a
 // positive CPU-derived count.
 func TestDefaultWorkers(t *testing.T) {

@@ -19,13 +19,6 @@ type pqKEM struct {
 	keygen func(io.Reader) (pub, priv []byte, err error)
 	encaps func(io.Reader, []byte) (ct, ss []byte, err error)
 	decaps func(priv, ct []byte) ([]byte, error)
-	// batchKeygen, when set, is the scheme's amortized multi-key generation
-	// (see BatchGenerator); nil falls back to sequential keygen calls.
-	batchKeygen func(io.Reader, int) (pubs, privs [][]byte, err error)
-	// batchEncaps, when set, is the scheme's amortized multi-target
-	// encapsulation (see BatchEncapsulator); nil falls back to sequential
-	// Encapsulate calls.
-	batchEncaps func(io.Reader, [][]byte) (cts, sss [][]byte, err error)
 }
 
 func (k *pqKEM) Name() string          { return k.name }
@@ -47,31 +40,11 @@ func (k *pqKEM) Decapsulate(priv, ct []byte) ([]byte, error) {
 	return k.decaps(priv, ct)
 }
 
-// GenerateKeyBatch implements BatchGenerator, falling back to sequential
-// generation for schemes without a batched keygen.
-func (k *pqKEM) GenerateKeyBatch(rng io.Reader, n int) (pubs, privs [][]byte, err error) {
-	if k.batchKeygen != nil {
-		return k.batchKeygen(rng, n)
-	}
-	return seqKeyBatch(k, rng, n)
-}
-
-// EncapsulateBatch implements BatchEncapsulator, falling back to
-// sequential encapsulation for schemes without a batched path.
-func (k *pqKEM) EncapsulateBatch(rng io.Reader, pubs [][]byte) (cts, sss [][]byte, err error) {
-	if k.batchEncaps != nil {
-		return k.batchEncaps(rng, pubs)
-	}
-	return seqEncapsBatch(k, rng, pubs)
-}
-
 func kyberKEM(p *mlkem.Params, level int) KEM {
 	return &pqKEM{
 		name: p.Name, level: level,
 		pkSize: p.PublicKeySize(), ctSize: p.CiphertextSize(), ssSize: p.SharedSecretSize(),
 		keygen: p.GenerateKey, encaps: p.Encapsulate, decaps: p.Decapsulate,
-		batchKeygen: p.GenerateKeyBatch,
-		batchEncaps: p.EncapBatch,
 	}
 }
 

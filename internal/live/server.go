@@ -51,8 +51,10 @@ func (b bufferedConn) Read(p []byte) (int, error) { return b.r.Read(p) }
 // Options configure a Server runtime.
 type Options struct {
 	// Config is the handshake template (suite, credentials, buffering).
-	// The runtime copies it and installs a shared ticket store, so one
-	// Options value can safely serve many runtimes.
+	// The runtime copies it and installs a shared ticket store and, unless
+	// Config.Signer is already set, a signing context for PrivateKey that
+	// lives as long as the runtime, so one Options value can safely serve
+	// many runtimes.
 	Config *tls13.Config
 	// MaxConns bounds concurrently-handshaking connections (0 = 256).
 	// Accept blocks once the bound is reached — backpressure instead of
@@ -81,25 +83,6 @@ type Options struct {
 	// config, filling pqtls_handshake_phase_seconds{phase=...} histograms
 	// and pqtls_pubkey_ops_total{op,alg} counters.
 	PhaseMetrics bool
-	// SignWorkers, when positive, moves CertificateVerify signing onto a
-	// SignPool of this many workers backed by a precomputed signing context
-	// for Config.SigName/PrivateKey, so the per-key setup (Dilithium's
-	// matrix expansion and secret NTTs) is paid once instead of per
-	// handshake and at most SignWorkers signatures compete for CPU at a
-	// time. 0 signs inline on the connection goroutine.
-	SignWorkers int
-	// SignQueue bounds the sign pool's pending jobs (0 = 4×SignWorkers). A
-	// full queue blocks the submitting connection goroutine — backpressure,
-	// not unbounded buffering.
-	SignQueue int
-	// EncapBatch, when positive, routes the handshake's KEM encapsulation
-	// through an EncapPool that collects up to this many concurrent
-	// encapsulations into one multi-sponge batch pass. 0 encapsulates
-	// inline on the connection goroutine.
-	EncapBatch int
-	// EncapWorkers sets the encap pool's worker count (0 = 2). Only
-	// meaningful with EncapBatch > 0.
-	EncapWorkers int
 	// WindowInterval, when > 0, additionally records every accept,
 	// completion, and failure into a windowed Timeline at this interval,
 	// stamped with wall-clock offsets from the runtime's start. The timeline
@@ -147,13 +130,6 @@ const (
 	MetricTicketsIssued   = "pqtls_tickets_issued_total"
 	MetricTicketsRedeemed = "pqtls_tickets_redeemed_total"
 	MetricTicketsRejected = "pqtls_tickets_rejected_total"
-	MetricSignPoolSigns   = "pqtls_signpool_signs_total"
-	MetricSignPoolErrs    = "pqtls_signpool_errors_total"
-	MetricSignPoolDepth   = "pqtls_signpool_queue_depth"
-	MetricEncapPoolOps    = "pqtls_encappool_encaps_total"
-	MetricEncapPoolBatch  = "pqtls_encappool_batched_total"
-	MetricEncapPoolErrs   = "pqtls_encappool_errors_total"
-	MetricEncapPoolDepth  = "pqtls_encappool_queue_depth"
 )
 
 const handshakesHelp = "Handshake outcomes by result class (ok or a failure class)."
@@ -181,9 +157,6 @@ type Server struct {
 	draining      *obs.Gauge
 	hsDur         *obs.LatencyHistogram
 
-	signPool  *SignPool
-	encapPool *EncapPool
-
 	metricsLn   net.Listener
 	httpSrv     *http.Server
 	metricsDone chan struct{}
@@ -192,6 +165,37 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	failed map[string]*obs.Counter // class -> pqtls_handshakes_total{result=class}
 	closed bool
+}
+
+// resolveConfig copies the caller's handshake template and fills in what
+// lives as long as the runtime rather than one connection: the shared
+// ticket store every per-connection Server seals and redeems through (it
+// is what makes resumption work across connections) and, when the caller
+// supplied a private key but no Signer, a signing context for that key, so
+// per-key setup (Dilithium's matrix expansion and secret NTTs) is paid once
+// instead of per handshake. Resolving a resolved config changes nothing,
+// which is how ServeSharded's shards share one store and one context.
+func resolveConfig(tmpl *tls13.Config) (*tls13.Config, error) {
+	cfg := *tmpl
+	if cfg.Tickets == nil {
+		if cfg.TicketKey != nil {
+			cfg.Tickets = tls13.NewTicketStore(*cfg.TicketKey)
+		} else {
+			store, err := tls13.NewRandomTicketStore()
+			if err != nil {
+				return nil, fmt.Errorf("live: ticket store: %w", err)
+			}
+			cfg.Tickets = store
+		}
+	}
+	if cfg.Signer == nil && len(cfg.PrivateKey) > 0 {
+		scheme, err := sig.ByName(cfg.SigName)
+		if err != nil {
+			return nil, fmt.Errorf("live: signing context: %w", err)
+		}
+		cfg.Signer = sig.NewSigner(scheme, cfg.PrivateKey)
+	}
+	return &cfg, nil
 }
 
 // Serve starts the accept loop on ln and returns immediately. The listener
@@ -206,20 +210,9 @@ func Serve(ln net.Listener, opts Options) (*Server, error) {
 	if opts.HandshakeTimeout <= 0 {
 		opts.HandshakeTimeout = 10 * time.Second
 	}
-	cfg := *opts.Config
-	if cfg.Tickets == nil {
-		// The shared store is what makes resumption work across
-		// connections: every per-connection Server seals and redeems
-		// through it.
-		if cfg.TicketKey != nil {
-			cfg.Tickets = tls13.NewTicketStore(*cfg.TicketKey)
-		} else {
-			store, err := tls13.NewRandomTicketStore()
-			if err != nil {
-				return nil, fmt.Errorf("live: ticket store: %w", err)
-			}
-			cfg.Tickets = store
-		}
+	cfg, err := resolveConfig(opts.Config)
+	if err != nil {
+		return nil, err
 	}
 	reg := opts.Registry
 	if reg == nil {
@@ -228,37 +221,17 @@ func Serve(ln net.Listener, opts Options) (*Server, error) {
 	if opts.PhaseMetrics {
 		cfg.Hooks = tls13.MultiHooks(cfg.Hooks, obs.NewPhaseHooks(reg))
 	}
-	var signPool *SignPool
-	if opts.SignWorkers > 0 {
-		scheme, err := sig.ByName(cfg.SigName)
-		if err != nil {
-			return nil, fmt.Errorf("live: sign pool: %w", err)
-		}
-		signPool = NewSignPool(sig.NewSigner(scheme, cfg.PrivateKey), opts.SignWorkers, opts.SignQueue)
-		cfg.Signer = signPool
-	}
-	var encapPool *EncapPool
-	if opts.EncapBatch > 0 && cfg.Encapsulator == nil {
-		workers := opts.EncapWorkers
-		if workers <= 0 {
-			workers = 2
-		}
-		encapPool = NewEncapPool(workers, opts.EncapBatch, 0)
-		cfg.Encapsulator = encapPool
-	}
 	s := &Server{
-		ln:        ln,
-		opts:      opts,
-		cfg:       &cfg,
-		sem:       make(chan struct{}, opts.MaxConns),
-		shutdown:  make(chan struct{}),
-		loopDone:  make(chan struct{}),
-		conns:     make(map[net.Conn]struct{}),
-		failed:    make(map[string]*obs.Counter),
-		reg:       reg,
-		signPool:  signPool,
-		encapPool: encapPool,
-		start:     time.Now(),
+		ln:       ln,
+		opts:     opts,
+		cfg:      cfg,
+		sem:      make(chan struct{}, opts.MaxConns),
+		shutdown: make(chan struct{}),
+		loopDone: make(chan struct{}),
+		conns:    make(map[net.Conn]struct{}),
+		failed:   make(map[string]*obs.Counter),
+		reg:      reg,
+		start:    time.Now(),
 	}
 	switch {
 	case opts.Timeline != nil:
@@ -283,24 +256,6 @@ func Serve(ln net.Listener, opts Options) (*Server, error) {
 		func() uint64 { return store.Stats().Redeemed })
 	reg.CounterFunc(MetricTicketsRejected, "Presented tickets that failed to open.",
 		func() uint64 { return store.Stats().Rejected })
-	if signPool != nil {
-		reg.CounterFunc(MetricSignPoolSigns, "CertificateVerify signatures produced by the sign pool.",
-			func() uint64 { return signPool.Stats().Signs })
-		reg.CounterFunc(MetricSignPoolErrs, "Sign-pool signer errors propagated to handshakes.",
-			func() uint64 { return signPool.Stats().Errors })
-		reg.GaugeFunc(MetricSignPoolDepth, "Signing jobs queued but not yet picked up by a worker.",
-			func() int64 { return int64(signPool.Stats().Depth) })
-	}
-	if encapPool != nil {
-		reg.CounterFunc(MetricEncapPoolOps, "KEM encapsulations produced by the encap pool.",
-			func() uint64 { return encapPool.Stats().Encaps })
-		reg.CounterFunc(MetricEncapPoolBatch, "Encapsulations that went through a batched multi-sponge call.",
-			func() uint64 { return encapPool.Stats().Batched })
-		reg.CounterFunc(MetricEncapPoolErrs, "Encap-pool errors propagated to handshakes.",
-			func() uint64 { return encapPool.Stats().Errors })
-		reg.GaugeFunc(MetricEncapPoolDepth, "Encapsulation jobs queued but not yet picked up by a worker.",
-			func() int64 { return int64(encapPool.Stats().Depth) })
-	}
 
 	if opts.MetricsAddr != "" {
 		mln, err := net.Listen("tcp", opts.MetricsAddr)
@@ -555,14 +510,6 @@ func (s *Server) Shutdown(grace time.Duration) error {
 			return fmt.Errorf("live: drain timed out after %v; force-closed %d in-flight connections", grace, n)
 		}
 	}()
-	if s.signPool != nil {
-		// After the drain no connection goroutine can submit new work; the
-		// pool finishes whatever is still queued and its workers exit.
-		s.signPool.Close()
-	}
-	if s.encapPool != nil {
-		s.encapPool.Close()
-	}
 	if s.httpSrv != nil {
 		// Close the listener and wait for the Serve goroutine to return, so
 		// a Shutdown caller observes no runtime goroutines left behind.
@@ -570,22 +517,4 @@ func (s *Server) Shutdown(grace time.Duration) error {
 		<-s.metricsDone
 	}
 	return err
-}
-
-// SignPoolStats returns the sign pool's counters, or a zero snapshot when
-// Options.SignWorkers was 0.
-func (s *Server) SignPoolStats() SignPoolStats {
-	if s.signPool == nil {
-		return SignPoolStats{}
-	}
-	return s.signPool.Stats()
-}
-
-// EncapPoolStats returns the encap pool's counters, or a zero snapshot when
-// Options.EncapBatch was 0.
-func (s *Server) EncapPoolStats() EncapPoolStats {
-	if s.encapPool == nil {
-		return EncapPoolStats{}
-	}
-	return s.encapPool.Stats()
 }

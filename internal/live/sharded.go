@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pqtls/internal/obs"
-	"pqtls/internal/sig"
 	"pqtls/internal/tls13"
 )
 
@@ -21,15 +20,14 @@ import (
 //
 // Cross-shard state is shared by construction, not merged after the fact:
 // one ticket store (a ticket issued on shard 0 resumes on shard 3), one
-// sign pool, and one obs.Registry whose idempotent registration makes every
-// shard's counters the same atomic instruments. Snapshot-time "merging" is
-// therefore just a union of the lazily-discovered failure classes.
+// signing context, and one obs.Registry whose idempotent registration makes
+// every shard's counters the same atomic instruments. Snapshot-time
+// "merging" is therefore just a union of the lazily-discovered failure
+// classes.
 type ShardedServer struct {
 	shards  []*Server
 	lns     []net.Listener
 	tickets *tls13.TicketStore
-	pool    *SignPool
-	encaps  *EncapPool
 	reg     *obs.Registry
 }
 
@@ -49,46 +47,16 @@ func ServeSharded(addr string, opts Options, shards int) (*ShardedServer, error)
 
 	// Resolve the shared pieces once, then hand every shard the same
 	// objects through a single config copy.
-	cfg := *opts.Config
-	if cfg.Tickets == nil {
-		if cfg.TicketKey != nil {
-			cfg.Tickets = tls13.NewTicketStore(*cfg.TicketKey)
-		} else {
-			store, err := tls13.NewRandomTicketStore()
-			if err != nil {
-				return nil, fmt.Errorf("live: ticket store: %w", err)
-			}
-			cfg.Tickets = store
-		}
+	cfg, err := resolveConfig(opts.Config)
+	if err != nil {
+		return nil, err
 	}
+	opts.Config = cfg
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	opts.Registry = reg
-	var pool *SignPool
-	if opts.SignWorkers > 0 {
-		scheme, err := sig.ByName(cfg.SigName)
-		if err != nil {
-			return nil, fmt.Errorf("live: sign pool: %w", err)
-		}
-		pool = NewSignPool(sig.NewSigner(scheme, cfg.PrivateKey), opts.SignWorkers, opts.SignQueue)
-		cfg.Signer = pool
-		opts.SignWorkers = 0 // shards must not build private pools
-	}
-	var encaps *EncapPool
-	if opts.EncapBatch > 0 {
-		workers := opts.EncapWorkers
-		if workers <= 0 {
-			workers = 2
-		}
-		// One shared pool, like the sign pool: batches gather across every
-		// shard's in-flight handshakes, not per accept queue.
-		encaps = NewEncapPool(workers, opts.EncapBatch, 0)
-		cfg.Encapsulator = encaps
-		opts.EncapBatch = 0 // shards must not build private pools
-	}
-	opts.Config = &cfg
 	if opts.Timeline == nil && opts.WindowInterval > 0 {
 		// One shared timeline across shards, like the registry: windows are
 		// fleet-wide from the start, no post-hoc merge step.
@@ -105,7 +73,7 @@ func ServeSharded(addr string, opts Options, shards int) (*ShardedServer, error)
 		perShard++
 	}
 
-	ss := &ShardedServer{lns: lns, tickets: cfg.Tickets, pool: pool, encaps: encaps, reg: reg}
+	ss := &ShardedServer{lns: lns, tickets: cfg.Tickets, reg: reg}
 	for i := 0; i < shards; i++ {
 		so := opts
 		so.MaxConns = perShard
@@ -183,24 +151,6 @@ func (ss *ShardedServer) Timeline() *obs.Timeline { return ss.shards[0].Timeline
 // TicketStats exposes the shared ticket store's counters.
 func (ss *ShardedServer) TicketStats() tls13.TicketStats { return ss.tickets.Stats() }
 
-// SignPoolStats returns the shared sign pool's counters, or a zero snapshot
-// when Options.SignWorkers was 0.
-func (ss *ShardedServer) SignPoolStats() SignPoolStats {
-	if ss.pool == nil {
-		return SignPoolStats{}
-	}
-	return ss.pool.Stats()
-}
-
-// EncapPoolStats returns the shared encap pool's counters, or a zero
-// snapshot when Options.EncapBatch was 0.
-func (ss *ShardedServer) EncapPoolStats() EncapPoolStats {
-	if ss.encaps == nil {
-		return EncapPoolStats{}
-	}
-	return ss.encaps.Stats()
-}
-
 // Counters returns the merged snapshot. The shards share one registry, so
 // every scalar is already the cross-shard total; only the lazily-registered
 // failure classes need a union, since each shard discovers classes
@@ -215,8 +165,8 @@ func (ss *ShardedServer) Counters() Counters {
 	return out
 }
 
-// Shutdown drains every shard concurrently within the shared grace window,
-// then closes the shared sign pool. The first shard error is returned.
+// Shutdown drains every shard concurrently within the shared grace window.
+// The first shard error is returned.
 func (ss *ShardedServer) Shutdown(grace time.Duration) error {
 	errCh := make(chan error, len(ss.shards))
 	for _, s := range ss.shards {
@@ -229,13 +179,6 @@ func (ss *ShardedServer) Shutdown(grace time.Duration) error {
 		}
 	}
 	// All shards hold the same listener in the fallback layout; Close is
-	// idempotent there. The sign pool outlives the shards so in-flight
-	// handshakes could sign during the drain; close it last.
-	if ss.pool != nil {
-		ss.pool.Close()
-	}
-	if ss.encaps != nil {
-		ss.encaps.Close()
-	}
+	// idempotent there.
 	return first
 }

@@ -164,17 +164,6 @@ func TestShutdownMidBackoffNoLeak(t *testing.T) {
 			t.Error("test never reached the backoff path")
 		}
 	}
-	// The accept-loop and metrics goroutines must all be gone; poll briefly
-	// to let exiting goroutines park.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked across Shutdown: before=%d after=%d", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	// The accept-loop and metrics goroutines must all be gone.
+	waitGoroutines(t, before)
 }

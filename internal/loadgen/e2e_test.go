@@ -11,8 +11,9 @@ import (
 )
 
 // startPQLive boots a live server for the paper's kyber768/dilithium3 suite
-// with the signing worker pool enabled.
-func startPQLive(t *testing.T, signWorkers int) (*live.Server, *tls13.Config) {
+// in its default configuration, where CertificateVerify is signed through
+// the runtime's precomputed signing context.
+func startPQLive(t *testing.T) (*live.Server, *tls13.Config) {
 	t.Helper()
 	creds, err := harness.CredentialsFor("dilithium3", 1)
 	if err != nil {
@@ -28,7 +29,6 @@ func startPQLive(t *testing.T, signWorkers int) (*live.Server, *tls13.Config) {
 			Chain: creds.Chain, PrivateKey: creds.Priv, Buffer: tls13.BufferImmediate,
 		},
 		IssueTickets: true,
-		SignWorkers:  signWorkers,
 	})
 	if err != nil {
 		t.Fatalf("serve: %v", err)
@@ -38,79 +38,53 @@ func startPQLive(t *testing.T, signWorkers int) (*live.Server, *tls13.Config) {
 	}
 }
 
-// TestE2EPrecomputedFullHandshakes is the end-to-end contract of the whole
-// precompute subsystem over real sockets: a kyber768/dilithium3 server
-// signing through a worker pool, a client fleet drawing key shares from a
-// factory-backed pool and amortizing chain/verifier setup, full handshakes
-// only. Every handshake must succeed, every CertificateVerify must have
-// gone through the sign pool, and the key-share factory must actually have
-// fed the clients.
+// TestE2EPrecomputedFullHandshakes is the end-to-end contract of the
+// precomputed contexts over real sockets: a default kyber768/dilithium3
+// server against a client fleet that verifies one-shot or, with Amortize,
+// through the shared chain and verifier caches, full handshakes only.
+// Every handshake must succeed on both ends.
 func TestE2EPrecomputedFullHandshakes(t *testing.T) {
-	srv, cfg := startPQLive(t, 2)
-	pool := harness.NewKeyPool()
-	err := pool.StartFactory(harness.FactoryOptions{
-		Suites: []string{"kyber768"}, Target: 24, LowWater: 12, Batch: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.StopFactory()
-
-	sched := NewSchedule(7, DistUniform, 100, 400*time.Millisecond)
-	res, err := Run(Options{
-		Addr: srv.Addr().String(), Config: cfg, Schedule: sched,
-		KeyShares: pool, Amortize: true,
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if err := srv.Shutdown(10 * time.Second); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-
-	if res.Failed != 0 {
-		t.Fatalf("failures on loopback: %v", res.Errors)
-	}
-	if res.Completed != res.Started {
-		t.Errorf("completed %d of %d", res.Completed, res.Started)
-	}
-	// Every full handshake's CertificateVerify went through the pool, and
-	// the pool produced nothing else.
-	sp := srv.SignPoolStats()
-	if sp.Signs != res.Completed || sp.Errors != 0 {
-		t.Errorf("sign pool stats %+v, want %d signs and no errors", sp, res.Completed)
-	}
-	// The factory fed the fleet: with a 24-deep pool and batch refills, most
-	// (often all) handshakes hit pooled key shares.
-	if st := pool.FactoryStats(); st.Hits == 0 {
-		t.Errorf("no loadgen handshake drew from the key-share factory: %+v", st)
-	}
-	// The schedule the run executed is reproducible: an identically
-	// parameterized schedule digests to the same plan (what live-smoke
-	// asserts across separate processes).
-	if got, want := sched.Digest(), NewSchedule(7, DistUniform, 100, 400*time.Millisecond).Digest(); got != want {
-		t.Errorf("schedule digest not reproducible: %s vs %s", got, want)
+	for _, amortize := range []bool{false, true} {
+		srv, cfg := startPQLive(t)
+		sched := NewSchedule(7, DistUniform, 100, 400*time.Millisecond)
+		res, err := Run(Options{
+			Addr: srv.Addr().String(), Config: cfg, Schedule: sched,
+			Amortize: amortize,
+		})
+		if err != nil {
+			t.Fatalf("amortize=%v: run: %v", amortize, err)
+		}
+		if err := srv.Shutdown(10 * time.Second); err != nil {
+			t.Fatalf("amortize=%v: drain: %v", amortize, err)
+		}
+		if res.Failed != 0 {
+			t.Fatalf("amortize=%v: failures on loopback: %v", amortize, res.Errors)
+		}
+		if res.Completed != res.Started {
+			t.Errorf("amortize=%v: completed %d of %d", amortize, res.Completed, res.Started)
+		}
+		if c := srv.Counters(); c.Completed != res.Completed || c.FailedTotal() != 0 {
+			t.Errorf("amortize=%v: server completed %d failed %d, client completed %d",
+				amortize, c.Completed, c.FailedTotal(), res.Completed)
+		}
+		// The schedule the run executed is reproducible: an identically
+		// parameterized schedule digests to the same plan (what live-smoke
+		// asserts across separate processes).
+		if got, want := sched.Digest(), NewSchedule(7, DistUniform, 100, 400*time.Millisecond).Digest(); got != want {
+			t.Errorf("schedule digest not reproducible: %s vs %s", got, want)
+		}
 	}
 }
 
-// TestE2EPrecomputedResumption checks the subsystem against the resumption
-// path: with tickets enabled, the priming handshake is the only one that
-// needs a signature, and every scheduled handshake resumes.
+// TestE2EPrecomputedResumption checks the same pairing against the
+// resumption path: with tickets enabled, the priming handshake is the only
+// full one, and every scheduled handshake resumes.
 func TestE2EPrecomputedResumption(t *testing.T) {
-	srv, cfg := startPQLive(t, 2)
-	pool := harness.NewKeyPool()
-	err := pool.StartFactory(harness.FactoryOptions{
-		Suites: []string{"kyber768"}, Target: 16, LowWater: 8, Batch: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.StopFactory()
-
+	srv, cfg := startPQLive(t)
 	sched := NewSchedule(11, DistExponential, 100, 300*time.Millisecond)
 	res, err := Run(Options{
 		Addr: srv.Addr().String(), Config: cfg, Schedule: sched,
-		Resume: true, KeyShares: pool, Amortize: true,
+		Resume: true, Amortize: true,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -124,56 +98,45 @@ func TestE2EPrecomputedResumption(t *testing.T) {
 	if res.Resumed != res.Completed {
 		t.Errorf("resumed %d of %d completions, want all", res.Resumed, res.Completed)
 	}
-	// Only the priming full handshake required a CertificateVerify.
-	if sp := srv.SignPoolStats(); sp.Signs != 1 || sp.Errors != 0 {
-		t.Errorf("sign pool stats %+v, want exactly the priming signature", sp)
+	// Only the priming handshake was a full one.
+	if c := srv.Counters(); c.Completed != res.Completed+1 || c.Resumed != res.Completed {
+		t.Errorf("server completed %d (%d resumed), want %d (%d resumed)",
+			c.Completed, c.Resumed, res.Completed+1, res.Completed)
 	}
 }
 
-// TestE2EDrainMidRefill interleaves the shutdown paths: the key-share
-// factory is stopped while the load run is still in flight (consumers
-// degrade to inline keygen, never fail) and the server then drains with the
-// sign pool closing behind the last connection. Nothing may error, hang, or
-// lose a handshake; run under -race by `make race`.
+// TestE2EDrainMidRefill interleaves the shutdown paths: the run is
+// cancelled while the client pool is still refilling its slots with new
+// arrivals, and the server then drains behind the last connection. Nothing
+// dispatched may error, hang, or be lost; run under -race by the CI gate.
 func TestE2EDrainMidRefill(t *testing.T) {
-	srv, cfg := startPQLive(t, 2)
-	pool := harness.NewKeyPool()
-	err := pool.StartFactory(harness.FactoryOptions{
-		Suites: []string{"kyber768"}, Target: 8, LowWater: 4, Batch: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	stopped := make(chan error, 1)
-	go func() {
-		// Land the StopFactory mid-run: consumers are taking and the
-		// factory is refilling when the stop arrives.
-		time.Sleep(50 * time.Millisecond)
-		stopped <- pool.StopFactory()
-	}()
-
+	srv, cfg := startPQLive(t)
+	cancel := make(chan struct{})
 	sched := NewSchedule(3, DistUniform, 120, 300*time.Millisecond)
+	// Land the cancel mid-run: handshakes are in flight and further
+	// arrivals are due when it fires.
+	stop := time.AfterFunc(50*time.Millisecond, func() { close(cancel) })
+	defer stop.Stop()
 	res, err := Run(Options{
 		Addr: srv.Addr().String(), Config: cfg, Schedule: sched,
-		KeyShares: pool, Amortize: true,
+		Amortize: true, Cancel: cancel,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
-	}
-	if err := <-stopped; err != nil {
-		t.Fatalf("mid-run StopFactory: %v", err)
 	}
 	if err := srv.Shutdown(10 * time.Second); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	if res.Failed != 0 {
-		t.Fatalf("failures with factory stopped mid-run: %v", res.Errors)
+		t.Fatalf("failures with the run cancelled mid-flight: %v", res.Errors)
+	}
+	if res.Started == 0 || res.Started >= res.Offered {
+		t.Errorf("started %d of %d offered, want a cancelled partial run", res.Started, res.Offered)
 	}
 	if res.Completed != res.Started {
 		t.Errorf("completed %d of %d", res.Completed, res.Started)
 	}
-	if sp := srv.SignPoolStats(); sp.Signs != res.Completed {
-		t.Errorf("sign pool signed %d, want %d", sp.Signs, res.Completed)
+	if c := srv.Counters(); c.Completed != res.Completed {
+		t.Errorf("server completed %d, client completed %d", c.Completed, res.Completed)
 	}
 }

@@ -65,27 +65,12 @@ type Options struct {
 	// every successful post-warmup handshake: the tls13 phase hooks plus a
 	// flight-wait span around each blocking record read.
 	Trace *obs.Collector
-	// KeyShares, when non-nil, supplies pre-generated key shares for
-	// Config.KEMName so full handshakes skip the client-side keygen.
-	// *harness.KeyPool satisfies this; its factory keeps the pool warm in
-	// the background. A nil Get (pool exhausted) falls back to inline
-	// generation, so a drained pool degrades rather than fails.
-	KeyShares KeySource
 	// Amortize installs a shared chain-verification cache and a shared
 	// verifier-context cache across the whole connection pool, so only the
 	// first full handshake pays the real certificate parse/verify and
 	// per-key verification setup — the steady-state of a client that keeps
 	// talking to one server. Modeled charges are unaffected.
 	Amortize bool
-	// VerifyPool, when non-nil, routes every connection's CertificateVerify
-	// check through a shared batching verification pool
-	// (tls13.Config.CVVerifier): in-flight checks against the same server
-	// key are collected and verified through one multi-sponge batch pass.
-	// The tls13 client ignores the hook when Config.Rand is set, so pooled
-	// results never feed DRBG-pinned handshakes. The caller owns the pool's
-	// lifecycle (Close after the run) and reads its Stats from the handle —
-	// the Result's canonical encoding is unchanged.
-	VerifyPool *VerifyPool
 	// Simulate replaces every real dial+handshake with a synthetic latency
 	// that is a pure function of (Schedule.Seed, sample index). The
 	// dispatch machinery — open-loop pacing, the concurrency limiter,
@@ -93,8 +78,8 @@ type Options struct {
 	// Result becomes fully deterministic: the same schedule produces the
 	// same histogram, counters, and digest on any host, whole or split
 	// across any number of workers or machines. This is the mode the
-	// distributed subsystem's exactness checks run in (Addr, Config,
-	// Resume, and KeyShares are ignored).
+	// distributed subsystem's exactness checks run in (Addr, Config, and
+	// Resume are ignored).
 	Simulate bool
 	// Cancel, when non-nil, aborts the run once closed: no further arrivals
 	// are dispatched, in-flight handshakes finish, and the Result covers
@@ -125,13 +110,6 @@ type Options struct {
 // observer may read mid-run.
 type Progress struct {
 	Started, Completed, Failed atomic.Uint64
-}
-
-// KeySource hands out pre-generated key shares by KEM name. It is the
-// loadgen-side view of harness.KeyPool, kept as an interface so loadgen
-// does not import the harness.
-type KeySource interface {
-	Get(kemName string) *tls13.KeyShare
 }
 
 // Result aggregates one run.
@@ -235,17 +213,12 @@ func RunWorkers(opts Options, workers int) (*Result, error) {
 		workers = n // fewer arrivals than dispatchers: shrink, don't idle
 	}
 
-	if (opts.Amortize || opts.VerifyPool != nil) && !opts.Simulate {
-		// One shared set of caches/pools for the whole pool: the
-		// per-connection shallow copies in oneHandshake all point at these.
+	if opts.Amortize && !opts.Simulate {
+		// One shared set of caches for the whole pool: the per-connection
+		// shallow copies in oneHandshake all point at these.
 		cfg := *opts.Config
-		if opts.Amortize {
-			cfg.ChainCache = tls13.NewChainCache()
-			cfg.Verifiers = sig.NewVerifierCache(0)
-		}
-		if opts.VerifyPool != nil {
-			cfg.CVVerifier = opts.VerifyPool
-		}
+		cfg.ChainCache = tls13.NewChainCache()
+		cfg.Verifiers = sig.NewVerifierCache(0)
 		opts.Config = &cfg
 	}
 
@@ -325,15 +298,10 @@ func RunShard(opts Options, worker, stride int) (*Result, error) {
 	if worker < 0 || stride < 1 || worker >= stride {
 		return nil, fmt.Errorf("loadgen: RunShard(%d, %d): worker must be in [0, stride)", worker, stride)
 	}
-	if (opts.Amortize || opts.VerifyPool != nil) && !opts.Simulate {
+	if opts.Amortize && !opts.Simulate {
 		cfg := *opts.Config
-		if opts.Amortize {
-			cfg.ChainCache = tls13.NewChainCache()
-			cfg.Verifiers = sig.NewVerifierCache(0)
-		}
-		if opts.VerifyPool != nil {
-			cfg.CVVerifier = opts.VerifyPool
-		}
+		cfg.ChainCache = tls13.NewChainCache()
+		cfg.Verifiers = sig.NewVerifierCache(0)
 		opts.Config = &cfg
 	}
 	var sess *tls13.Session
@@ -504,10 +472,6 @@ func oneHandshake(opts *Options, sess *tls13.Session, sample int) (time.Duration
 
 	cfg := *opts.Config
 	cfg.Session = sess
-	if opts.KeyShares != nil {
-		// nil on pool exhaustion: Start then generates inline as usual.
-		cfg.PresetKeyShare = opts.KeyShares.Get(cfg.KEMName)
-	}
 	var tracer *obs.Tracer
 	waitPhase := func() func() { return func() {} }
 	if opts.Trace != nil {

@@ -278,8 +278,7 @@ func TestTimelineCSV(t *testing.T) {
 }
 
 // TestTimelineRecordNoAlloc pins the hot recording path at zero
-// allocations once a window exists — the property the gated
-// obs/window-record microbench kernel enforces in CI.
+// allocations once a window exists.
 func TestTimelineRecordNoAlloc(t *testing.T) {
 	tl := NewTimeline(100 * time.Millisecond)
 	tl.RecordStart(time.Millisecond)

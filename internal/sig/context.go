@@ -19,17 +19,6 @@ type Verifier interface {
 	Verify(msg, sig []byte) bool
 }
 
-// BatchVerifier is a Verifier that amortizes symmetric work across many
-// (msg, sig) pairs in one call (Dilithium's cached VerifyKey batches its
-// mu/challenge/w1 hashes through a multi-sponge pass). Decisions are
-// identical to calling Verify on each pair; the returned slice has one
-// entry per input pair. Detect support with a type assertion on the
-// Verifier returned by NewVerifier or VerifierCache.For.
-type BatchVerifier interface {
-	Verifier
-	VerifyBatch(msgs, sigs [][]byte) []bool
-}
-
 // contextScheme is implemented by schemes that provide precomputed
 // signing/verification contexts (wired through the pqScheme adapter).
 type contextScheme interface {

@@ -129,44 +129,3 @@ func TestVerifierCacheChurnStats(t *testing.T) {
 		t.Fatalf("evictions %d != misses %d - entries %d", st.Evictions, st.Misses, st.Entries)
 	}
 }
-
-// TestBatchVerifierAssertion pins that the cached dilithium verifier
-// supports batch verification through the BatchVerifier interface and that
-// batched decisions match sequential ones.
-func TestBatchVerifierAssertion(t *testing.T) {
-	s := MustByName("dilithium3")
-	pub, priv, err := s.GenerateKey(newDetReader("batch-assert"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewVerifierCache(0)
-	v := c.For(s, pub)
-	bv, ok := v.(BatchVerifier)
-	if !ok {
-		t.Fatal("cached dilithium verifier does not implement BatchVerifier")
-	}
-	msgs := make([][]byte, 3)
-	sigs := make([][]byte, 3)
-	for i := range msgs {
-		msgs[i] = []byte{byte(i), 0xC3}
-		if sigs[i], err = s.Sign(priv, msgs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sigs[1][50] ^= 1
-	got := bv.VerifyBatch(msgs, sigs)
-	for i := range msgs {
-		if want := v.Verify(msgs[i], sigs[i]); got[i] != want {
-			t.Fatalf("item %d: VerifyBatch=%v, Verify=%v", i, got[i], want)
-		}
-	}
-	// Classical schemes must simply not satisfy the assertion.
-	e := MustByName("ecdsa-p256")
-	epub, _, err := e.GenerateKey(newDetReader("batch-assert-ec"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := NewVerifier(e, epub).(BatchVerifier); ok {
-		t.Fatal("classical verifier unexpectedly implements BatchVerifier")
-	}
-}

@@ -77,16 +77,10 @@ func (c *Client) Start() ([]Record, error) {
 	defer endPhase()
 	endKeygen := c.cfg.phase(PhaseKEMKeygen)
 	endCrypto := c.cfg.span(LibCrypto)
-	var pub, priv []byte
-	var err error
-	if ks := c.cfg.PresetKeyShare; ks != nil {
-		pub, priv = ks.Pub, ks.Priv
-	} else {
-		pub, priv, err = c.kem.GenerateKey(rng)
-		if err != nil {
-			endCrypto()
-			return nil, fmt.Errorf("tls13: key share generation: %w", err)
-		}
+	pub, priv, err := c.kem.GenerateKey(rng)
+	if err != nil {
+		endCrypto()
+		return nil, fmt.Errorf("tls13: key share generation: %w", err)
 	}
 	c.cfg.charge(OpKEMKeygen, c.kem.Name())
 	endCrypto()
@@ -457,12 +451,9 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 		endCrypto := c.cfg.span(LibCrypto)
 		content := certVerifyContent(c.ks.transcriptHash())
 		var okSig bool
-		switch {
-		case c.cfg.CVVerifier != nil && c.cfg.Rand == nil:
-			okSig = c.cfg.CVVerifier.VerifyCV(scheme, c.ServerCert.PublicKey, content, signature)
-		case c.cfg.Verifiers != nil:
+		if c.cfg.Verifiers != nil {
 			okSig = c.cfg.Verifiers.For(scheme, c.ServerCert.PublicKey).Verify(content, signature)
-		default:
+		} else {
 			okSig = scheme.Verify(c.ServerCert.PublicKey, content, signature)
 		}
 		c.cfg.charge(OpSigVerify, name)

@@ -5,7 +5,6 @@ import (
 	"time"
 	"unsafe"
 
-	"pqtls/internal/kem"
 	"pqtls/internal/pki"
 	"pqtls/internal/sig"
 )
@@ -122,16 +121,11 @@ type Config struct {
 	// Session, when set on a client, resumes via PSK: the Certificate and
 	// CertificateVerify flights are skipped entirely.
 	Session *Session
-	// PresetKeyShare, when set on a client, supplies a pre-generated key
-	// pair for KEMName instead of generating one in Start. The keygen cost
-	// is still charged to the Meter — the preset only amortizes the real
-	// compute (harness key pools) without changing modeled timing.
-	PresetKeyShare *KeyShare
 	// Signer, when set on a server, computes the CertificateVerify
-	// signature in place of SigName's one-shot Sign. This is the hook the
-	// live runtime's signing worker pool and precomputed signing contexts
-	// install; it must produce signatures verifiable under PrivateKey's
-	// public key. The modeled sign cost is charged either way.
+	// signature in place of SigName's one-shot Sign. The live runtime
+	// installs a precomputed signing context here; it must produce
+	// signatures verifiable under PrivateKey's public key. The modeled sign
+	// cost is charged either way.
 	Signer sig.Signer
 	// Verifiers, when set on a client, caches precomputed verification
 	// contexts by public key for the CertificateVerify check, amortizing
@@ -145,22 +139,6 @@ type Config struct {
 	// an unchanged chain. All configs sharing a cache must share identical
 	// Roots and the modeled per-certificate verify costs are still charged.
 	ChainCache *ChainCache
-	// Encapsulator, when set on a server, performs the key-agreement
-	// encapsulation in place of a direct kem.Encapsulate call. This is the
-	// hook the live runtime's batching encapsulation pool installs to
-	// amortize Kyber's symmetric work across concurrent connections. Only
-	// consulted when Rand is nil: a DRBG-pinned handshake must consume its
-	// configured randomness stream exactly, and pooled results must never
-	// feed deterministic samples. The modeled encaps cost is charged either
-	// way.
-	Encapsulator Encapsulator
-	// CVVerifier, when set on a client, checks the CertificateVerify
-	// signature in place of the direct (cached) verify. This is the hook
-	// the loadgen verification pool installs to batch in-flight checks
-	// across connections. Only consulted when Rand is nil — the same bypass
-	// invariant as Encapsulator, keeping pooled paths out of DRBG-pinned
-	// runs. The modeled verify cost is charged either way.
-	CVVerifier CVVerifier
 
 	// certMsgCache and ticketCache memoize per-Config derived state (the
 	// marshaled Certificate message; the TicketStore behind a bare
@@ -168,25 +146,4 @@ type Config struct {
 	// because Config values are copied; see configcache.go.
 	certMsgCache unsafe.Pointer // *certMsgCache
 	ticketCache  unsafe.Pointer // *ticketStoreCache
-}
-
-// KeyShare is a pre-generated KEM key pair for PresetKeyShare.
-type KeyShare struct {
-	Pub, Priv []byte
-}
-
-// Encapsulator is the server-side encapsulation hook (see
-// Config.Encapsulator). Implementations may batch concurrent
-// encapsulations across connections; the result must be a valid
-// (ciphertext, shared secret) pair for pub under k, but need not consume
-// any particular randomness source.
-type Encapsulator interface {
-	Encapsulate(k kem.KEM, pub []byte) (ct, ss []byte, err error)
-}
-
-// CVVerifier is the client-side CertificateVerify hook (see
-// Config.CVVerifier). Implementations may batch concurrent verifications
-// across connections; the decision must equal scheme.Verify(pub, msg, sig).
-type CVVerifier interface {
-	VerifyCV(scheme sig.Scheme, pub, msg, sig []byte) bool
 }

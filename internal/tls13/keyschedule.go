@@ -270,8 +270,8 @@ func (ks *keySchedule) finishedMsg(trafficSecret, th []byte) []byte {
 // KeyScheduleKernel exposes one full hot-path key-schedule derivation —
 // transcript absorb, handshake and master secret extraction, four traffic
 // secrets, traffic keys, and a Finished MAC — reusing all internal state
-// across Run calls, for the pqbench microbench inventory (gated at zero
-// allocs/op).
+// across Run calls, for benchmarks and the zero-alloc gate
+// (TestKeyScheduleZeroAlloc).
 type KeyScheduleKernel struct {
 	ks  keySchedule
 	fin [sha256.Size]byte

@@ -172,12 +172,7 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 	// Key agreement: encapsulate against the client's share.
 	endEncap := s.cfg.phase(PhaseKEMEncap)
 	endCrypto := s.cfg.span(LibCrypto)
-	var ct, ss []byte
-	if s.cfg.Encapsulator != nil && s.cfg.Rand == nil {
-		ct, ss, err = s.cfg.Encapsulator.Encapsulate(s.kem, ch.keyShare)
-	} else {
-		ct, ss, err = s.kem.Encapsulate(rng, ch.keyShare)
-	}
+	ct, ss, err := s.kem.Encapsulate(rng, ch.keyShare)
 	if err != nil {
 		endCrypto()
 		return nil, fmt.Errorf("tls13: encapsulation: %w", err)

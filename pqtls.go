@@ -143,8 +143,6 @@ type (
 	// SweepConfig parameterizes the table/figure sweeps (samples, buffer
 	// policy, worker count, timing mode).
 	SweepConfig = harness.SweepConfig
-	// KeyPool pre-generates client KEM key pairs for campaigns.
-	KeyPool = harness.KeyPool
 )
 
 // Compute-timing modes for campaigns.
@@ -162,9 +160,6 @@ const (
 func RunCampaign(opts CampaignOptions) (*CampaignResult, error) {
 	return harness.RunCampaign(opts)
 }
-
-// NewKeyPool returns an empty client key-share pool.
-func NewKeyPool() *KeyPool { return harness.NewKeyPool() }
 
 // DefaultWorkers is the worker count used when CampaignOptions.Workers is
 // zero (GOMAXPROCS).

@@ -1,8 +1,8 @@
 //go:build race
 
-package mlkem
+package pqtls_test
 
 // raceEnabled reports whether the race detector is instrumenting this
 // build. Instrumentation changes inlining and escape analysis, so
-// zero-alloc assertions only hold in normal builds.
+// allocation-count assertions only hold in normal builds.
 const raceEnabled = true
