@@ -42,11 +42,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One bounded fuzz run per target; Go requires -fuzz to match a single
-# target per invocation, hence the loop.
+# One bounded fuzz run per package:target pair; Go requires -fuzz to match a
+# single target per invocation, hence the loop.
+FUZZ_TARGETS = internal/tls13:FuzzClientHelloParse internal/tls13:FuzzServerHelloParse \
+	internal/tls13:FuzzRecordDeprotect internal/crypto/sha3:FuzzSpongeVsReference
 fuzz-smoke:
-	for target in FuzzClientHelloParse FuzzServerHelloParse FuzzRecordDeprotect; do \
-		$(GO) test ./internal/tls13 -run '^$$' -fuzz $$target -fuzztime $(FUZZTIME) || exit 1; \
+	for pair in $(FUZZ_TARGETS); do \
+		$(GO) test ./$${pair%%:*} -run '^$$' -fuzz $${pair#*:} -fuzztime $(FUZZTIME) || exit 1; \
 	done
 
 # live-smoke drives the real TLS stack over loopback sockets under the race

@@ -102,7 +102,7 @@ func (p *Params) deriveErrors(m []byte) (e0, e1 []int) {
 	defer sha3.PutXOF(x)
 	x.Write([]byte("BIKE-H"))
 	x.Write(m)
-	sup, err := gf2x.RandomSupport(xofReader{x}, 2*p.R, p.T)
+	sup, err := gf2x.RandomSupport(x, 2*p.R, p.T)
 	if err != nil {
 		panic("bike: XOF cannot fail: " + err.Error())
 	}
@@ -115,10 +115,6 @@ func (p *Params) deriveErrors(m []byte) (e0, e1 []int) {
 	}
 	return e0, e1
 }
-
-type xofReader struct{ x sha3.XOF }
-
-func (r xofReader) Read(pb []byte) (int, error) { return r.x.Read(pb) }
 
 // hashL computes L(e0, e1), the 32-byte mask applied to the message.
 func (p *Params) hashL(e0, e1 *gf2x.Poly) [32]byte {

@@ -126,7 +126,7 @@ func (p *Params) deriveVectors(theta []byte) (r1, r2, e []int) {
 		defer sha3.PutXOF(x)
 		x.Write([]byte(label))
 		x.Write(theta)
-		sup, err := gf2x.RandomSupport(xofReader{x}, p.N, p.Wr)
+		sup, err := gf2x.RandomSupport(x, p.N, p.Wr)
 		if err != nil {
 			panic("hqc: XOF cannot fail: " + err.Error())
 		}
@@ -134,10 +134,6 @@ func (p *Params) deriveVectors(theta []byte) (r1, r2, e []int) {
 	}
 	return sample("HQC-R1"), sample("HQC-R2"), sample("HQC-E")
 }
-
-type xofReader struct{ x sha3.XOF }
-
-func (r xofReader) Read(pb []byte) (int, error) { return r.x.Read(pb) }
 
 // pkeEncrypt is the deterministic inner encryption with randomness theta.
 func (p *Params) pkeEncrypt(pk, m, theta []byte) (u *gf2x.Poly, v []byte) {

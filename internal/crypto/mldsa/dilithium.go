@@ -155,34 +155,12 @@ func (p *Params) unpackEta(s *poly, in []byte) {
 	unpackBits(s, in, p.etaBits(), func(t uint32) int32 { return freduce(eta - int32(t) + Q) })
 }
 
-// expandA derives the K×L matrix in the NTT domain. The SHAKE sets absorb
-// all K·L seed blocks in one multi-sponge pass; the *_aes sets keep the
-// per-element stream loop.
+// expandA derives the K×L matrix in the NTT domain, one expansion stream
+// per element.
 func (p *Params) expandA(rho []byte) []poly {
 	a := make([]poly, p.K*p.L)
 	smp := getSampleScratch()
 	defer putSampleScratch(smp)
-	if _, ok := p.exp.(shakeExpander); ok {
-		var seeds [56][34]byte // K·L <= 56 seeds of rho || nonce16le
-		var inputs [56][]byte
-		kl := p.K * p.L
-		for i := 0; i < p.K; i++ {
-			for j := 0; j < p.L; j++ {
-				idx := i*p.L + j
-				nonce := uint16(i<<8 | j)
-				s := &seeds[idx]
-				copy(s[:32], rho)
-				s[32], s[33] = byte(nonce), byte(nonce>>8)
-				inputs[idx] = s[:]
-			}
-		}
-		m := sha3.NewMultiShake128(inputs[:kl])
-		for idx := range a {
-			sampleUniform(&a[idx], m.Stream(idx), &smp.uni)
-		}
-		sha3.PutMultiXOF(m)
-		return a
-	}
 	for i := 0; i < p.K; i++ {
 		for j := 0; j < p.L; j++ {
 			st := p.exp.Stream128(rho, uint16(i<<8|j))

@@ -20,7 +20,7 @@ type expander interface {
 
 type shakeExpander struct{}
 
-func shakeStream(newXOF func() sha3.XOF, seed []byte, nonce uint16) io.Reader {
+func shakeStream(newXOF func() *sha3.XOF, seed []byte, nonce uint16) io.Reader {
 	x := newXOF()
 	x.Write(seed)
 	var n [2]byte

@@ -45,9 +45,7 @@ type kemWork struct {
 	vec3 []poly // t / u
 	vec4 []poly // unpacked public vector t in pkeEncrypt
 
-	xofSeeds [16][34]byte // matrix-expansion seed blocks (k² <= 16)
-	xofIn    [16][]byte   // their slice headers for the multi-sponge
-	uniBuf   [3 * 168]byte
+	uniBuf [3 * 168]byte
 
 	m, h, hc   [32]byte
 	g          [64]byte
@@ -171,32 +169,9 @@ func (p *Params) deriveKey(seed [64]byte) (pk, sk []byte) {
 }
 
 // expandMatrix derives the k×k matrix A (or its transpose) from rho into
-// the caller-provided buffer of k² polynomials. The SHAKE variants absorb
-// all k² seed blocks in one multi-sponge pass; the AES variants keep the
-// per-element stream loop. All staging lives in w, so the expansion does
-// not allocate.
+// the caller-provided buffer of k² polynomials, one XOF stream per element.
+// All staging lives in w, so the expansion does not allocate.
 func (p *Params) expandMatrix(a []poly, rho []byte, transpose bool, w *kemWork) {
-	if p.isShake() {
-		kk := p.K * p.K
-		for i := 0; i < p.K; i++ {
-			for j := 0; j < p.K; j++ {
-				x, y := byte(j), byte(i) // A[i][j] uses XOF(rho, j, i)
-				if transpose {
-					x, y = y, x
-				}
-				s := &w.xofSeeds[i*p.K+j]
-				copy(s[:32], rho)
-				s[32], s[33] = x, y
-				w.xofIn[i*p.K+j] = s[:]
-			}
-		}
-		m := sha3.NewMultiShake128(w.xofIn[:kk])
-		for idx := 0; idx < kk; idx++ {
-			sampleUniform(&a[idx], m.Stream(idx), &w.uniBuf)
-		}
-		sha3.PutMultiXOF(m)
-		return
-	}
 	for i := 0; i < p.K; i++ {
 		for j := 0; j < p.K; j++ {
 			x, y := byte(j), byte(i) // A[i][j] uses XOF(rho, j, i)

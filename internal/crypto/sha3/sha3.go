@@ -1,277 +1,127 @@
-// Package sha3 implements the SHA-3 fixed-output hash functions and the
-// SHAKE extendable-output functions (FIPS 202) from scratch.
+// Package sha3 adapts the standard library's crypto/sha3 (FIPS 202, with
+// its assembly Keccak-f where the platform has one) to the call shapes the
+// PQ kernels in this repository use.
 //
-// The Go standard library (as pinned by this module) does not ship SHA-3, and
-// every lattice- and hash-based scheme in this repository (ML-KEM, Dilithium,
-// SPHINCS+, the Falcon-shaped signature) is defined in terms of SHAKE, so the
-// sponge lives here as a shared substrate.
+// Every lattice- and hash-based scheme here (Kyber, Dilithium, SPHINCS+, the
+// Falcon-shaped signature, HQC, BIKE) is SHAKE-bound and hashes short
+// concatenations inside hot sampling loops. This package adds only what the
+// stdlib API lacks for that: variadic inputs (no concatenation buffer),
+// one-shots that write into a caller's buffer, and sync.Pool-recycled
+// states so none of it allocates. There is no Keccak permutation here; the
+// test file keeps a readable one as the differential oracle.
 package sha3
 
 import (
-	"math/bits"
+	"crypto/sha3"
 	"sync"
 )
 
-// roundConstants are the 24 iota-step constants of Keccak-f[1600].
-var roundConstants = [24]uint64{
-	0x0000000000000001, 0x0000000000008082, 0x800000000000808A, 0x8000000080008000,
-	0x000000000000808B, 0x0000000080000001, 0x8000000080008081, 0x8000000000008009,
-	0x000000000000008A, 0x0000000000000088, 0x0000000080008009, 0x000000008000000A,
-	0x000000008000808B, 0x800000000000008B, 0x8000000000008089, 0x8000000000008003,
-	0x8000000000008002, 0x8000000000000080, 0x000000000000800A, 0x800000008000000A,
-	0x8000000080008081, 0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
+// XOF is a pooled SHAKE state: absorb with Write, squeeze with Read. Write
+// after Read panics, as in crypto/sha3.
+//
+// NewShake128/NewShake256 return this concrete type rather than an
+// interface on purpose: called through an interface, the small stack arrays
+// the kernels pass to Write (matrix positions, nonces) escape to the heap.
+type XOF struct {
+	*sha3.SHAKE
+	pool *sync.Pool // where PutXOF returns the state
 }
 
-// rotc[i] is the rho rotation of the lane consumed at step i of the chained
-// rho-pi loop (the triangular numbers (i+1)(i+2)/2 mod 64).
-var rotc = [24]int{
-	1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 2, 14,
-	27, 41, 56, 8, 25, 43, 62, 18, 39, 61, 20, 44,
+var (
+	shake128Pool = sync.Pool{New: func() any { return &XOF{SHAKE: sha3.NewSHAKE128()} }}
+	shake256Pool = sync.Pool{New: func() any { return &XOF{SHAKE: sha3.NewSHAKE256()} }}
+	hash256Pool  = sync.Pool{New: func() any { return sha3.New256() }}
+	hash512Pool  = sync.Pool{New: func() any { return sha3.New512() }}
+)
+
+func newShake(pool *sync.Pool) *XOF {
+	x := pool.Get().(*XOF)
+	x.pool = pool
+	x.Reset()
+	return x
 }
 
-// piln[i] is the pi-step destination lane at step i of the chained loop.
-var piln = [24]int{
-	10, 7, 11, 17, 18, 3, 5, 16, 8, 21, 24, 4,
-	15, 23, 19, 13, 12, 2, 20, 14, 22, 9, 6, 1,
-}
+// NewShake128 returns a SHAKE128 XOF (rate 168) in its initial state. The
+// state comes from an internal pool; hand it back with PutXOF when finished
+// to make the next NewShake128 call allocation-free.
+func NewShake128() *XOF { return newShake(&shake128Pool) }
 
-// keccakF1600 is the readable reference permutation; the sponge uses the
-// generated keccakF1600Unrolled (see keccakf_unrolled.go), and the test
-// suite checks the two against each other.
-func keccakF1600(a *[25]uint64) {
-	var bc [5]uint64
-	for round := 0; round < 24; round++ {
-		// Theta.
-		for x := 0; x < 5; x++ {
-			bc[x] = a[x] ^ a[x+5] ^ a[x+10] ^ a[x+15] ^ a[x+20]
-		}
-		for x := 0; x < 5; x++ {
-			d := bc[(x+4)%5] ^ bits.RotateLeft64(bc[(x+1)%5], 1)
-			for y := 0; y < 25; y += 5 {
-				a[y+x] ^= d
-			}
-		}
-		// Rho and pi.
-		t := a[1]
-		for i := 0; i < 24; i++ {
-			j := piln[i]
-			bc[0] = a[j]
-			a[j] = bits.RotateLeft64(t, rotc[i])
-			t = bc[0]
-		}
-		// Chi.
-		for y := 0; y < 25; y += 5 {
-			for x := 0; x < 5; x++ {
-				bc[x] = a[y+x]
-			}
-			for x := 0; x < 5; x++ {
-				a[y+x] = bc[x] ^ (^bc[(x+1)%5] & bc[(x+2)%5])
-			}
-		}
-		// Iota.
-		a[0] ^= roundConstants[round]
-	}
-}
+// NewShake256 returns a SHAKE256 XOF (rate 136). See NewShake128 for the
+// pooling contract.
+func NewShake256() *XOF { return newShake(&shake256Pool) }
 
-// state is a Keccak sponge with a fixed rate and domain-separation byte.
-type state struct {
-	a      [25]uint64
-	buf    [200]byte // rate-sized staging area for absorb/squeeze
-	n      int       // bytes currently buffered
-	rate   int
-	dsbyte byte
-	// squeezing reports whether the sponge has been padded and switched to
-	// output mode; further Write calls are a programming error.
-	squeezing bool
-}
-
-// statePool recycles sponge states across calls. A state is ~420 bytes and
-// every hash/XOF invocation in the lattice and hash-based schemes needs
-// one, so the pool removes the dominant allocation of the Keccak paths
-// (the rate/dsbyte fields are re-stamped on Get, making one pool safe for
-// all SHA-3 and SHAKE variants).
-var statePool = sync.Pool{New: func() any { return new(state) }}
-
-func newState(rate int, dsbyte byte) *state {
-	s := statePool.Get().(*state)
-	s.rate, s.dsbyte = rate, dsbyte
-	s.Reset()
-	return s
-}
-
-// Write absorbs p into the sponge. It panics if called after reading output,
-// mirroring the contract of the x/crypto implementation.
-func (s *state) Write(p []byte) (int, error) {
-	if s.squeezing {
-		panic("sha3: Write after Read")
-	}
-	n := len(p)
-	for len(p) > 0 {
-		// Full-block fast path: absorb straight from p, skipping the
-		// staging copy through buf.
-		if s.n == 0 && len(p) >= s.rate {
-			for i := 0; i < s.rate/8; i++ {
-				s.a[i] ^= le64(p[8*i:])
-			}
-			keccakF1600Unrolled(&s.a)
-			p = p[s.rate:]
-			continue
-		}
-		c := copy(s.buf[s.n:s.rate], p)
-		s.n += c
-		p = p[c:]
-		if s.n == s.rate {
-			s.absorbBuf()
-		}
-	}
-	return n, nil
-}
-
-func (s *state) absorbBuf() {
-	for i := 0; i < s.rate/8; i++ {
-		s.a[i] ^= le64(s.buf[8*i:])
-	}
-	keccakF1600Unrolled(&s.a)
-	s.n = 0
-}
-
-func (s *state) pad() {
-	for i := s.n; i < s.rate; i++ {
-		s.buf[i] = 0
-	}
-	s.buf[s.n] ^= s.dsbyte
-	s.buf[s.rate-1] ^= 0x80
-	s.n = s.rate
-	s.absorbBuf()
-	s.squeezing = true
-	s.fillOutput()
-}
-
-func (s *state) fillOutput() {
-	for i := 0; i < s.rate/8; i++ {
-		putLE64(s.buf[8*i:], s.a[i])
-	}
-	s.n = 0 // bytes of buf already consumed by Read
-}
-
-// Read squeezes len(p) bytes of output, padding the sponge on first use.
-func (s *state) Read(p []byte) (int, error) {
-	if !s.squeezing {
-		s.pad()
-	}
-	n := len(p)
-	for len(p) > 0 {
-		if s.n == s.rate {
-			keccakF1600Unrolled(&s.a)
-			s.fillOutput()
-		}
-		c := copy(p, s.buf[s.n:s.rate])
-		s.n += c
-		p = p[c:]
-	}
-	return n, nil
-}
-
-// Reset returns the sponge to its initial empty state.
-func (s *state) Reset() {
-	s.a = [25]uint64{}
-	s.n = 0
-	s.squeezing = false
-}
-
-func le64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLE64(b []byte, v uint64) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
-
-// XOF is an extendable-output function: absorb with Write, squeeze with Read.
-type XOF interface {
-	Write(p []byte) (int, error)
-	Read(p []byte) (int, error)
-	Reset()
-}
-
-// NewShake128 returns a SHAKE128 XOF (rate 168, domain 0x1F). The state
-// comes from an internal pool; hand it back with PutXOF when finished to
-// make the next NewShake* call allocation-free.
-func NewShake128() XOF { return newState(168, 0x1F) }
-
-// NewShake256 returns a SHAKE256 XOF (rate 136, domain 0x1F). See
-// NewShake128 for the pooling contract.
-func NewShake256() XOF { return newState(136, 0x1F) }
-
-// PutXOF returns an XOF obtained from NewShake128/NewShake256 to the state
-// pool. It accepts any value so call sites that only hold an io.Reader can
+// PutXOF returns an XOF obtained from NewShake128/NewShake256 to its pool.
+// It accepts any value so call sites that only hold an io.Reader can
 // release their stream without a type switch; values of other types are
 // ignored. The XOF must not be used after PutXOF.
 func PutXOF(x any) {
-	if s, ok := x.(*state); ok {
-		statePool.Put(s)
+	if s, ok := x.(*XOF); ok {
+		s.pool.Put(s)
 	}
 }
 
-// sumInto absorbs the concatenation of data and squeezes len(dst) bytes,
-// using a pooled state so the whole operation is allocation-free.
-func sumInto(rate int, ds byte, dst []byte, data ...[]byte) {
-	s := newState(rate, ds)
+// shakeInto absorbs the concatenation of data and squeezes len(dst) bytes.
+func shakeInto(pool *sync.Pool, dst []byte, data [][]byte) {
+	x := newShake(pool)
 	for _, d := range data {
-		s.Write(d)
+		x.Write(d)
 	}
-	s.Read(dst)
-	statePool.Put(s)
+	x.Read(dst)
+	pool.Put(x)
+}
+
+// hashInto writes the fixed-size digest of the concatenation of data to the
+// front of dst, which must be at least that long.
+func hashInto(pool *sync.Pool, dst []byte, data [][]byte) {
+	h := pool.Get().(*sha3.SHA3)
+	h.Reset()
+	for _, d := range data {
+		h.Write(d)
+	}
+	h.Sum(dst[:0])
+	pool.Put(h)
 }
 
 // Sum256 computes SHA3-256 over the concatenation of data.
 func Sum256(data ...[]byte) [32]byte {
 	var out [32]byte
-	sumInto(136, 0x06, out[:], data...)
+	hashInto(&hash256Pool, out[:], data)
 	return out
 }
 
 // Sum512 computes SHA3-512 over the concatenation of data.
 func Sum512(data ...[]byte) [64]byte {
 	var out [64]byte
-	sumInto(72, 0x06, out[:], data...)
+	hashInto(&hash512Pool, out[:], data)
 	return out
 }
 
 // Sum256Into computes SHA3-256 over the concatenation of data into dst
-// (32 bytes) without allocating.
-func Sum256Into(dst []byte, data ...[]byte) { sumInto(136, 0x06, dst, data...) }
+// (32 bytes) without allocating. dst may alias an input.
+func Sum256Into(dst []byte, data ...[]byte) { hashInto(&hash256Pool, dst, data) }
 
 // Sum512Into computes SHA3-512 over the concatenation of data into dst
-// (64 bytes) without allocating.
-func Sum512Into(dst []byte, data ...[]byte) { sumInto(72, 0x06, dst, data...) }
+// (64 bytes) without allocating. dst may alias an input.
+func Sum512Into(dst []byte, data ...[]byte) { hashInto(&hash512Pool, dst, data) }
 
 // ShakeSum128Into squeezes len(dst) bytes of SHAKE128 over the
 // concatenation of data into dst without allocating.
-func ShakeSum128Into(dst []byte, data ...[]byte) { sumInto(168, 0x1F, dst, data...) }
+func ShakeSum128Into(dst []byte, data ...[]byte) { shakeInto(&shake128Pool, dst, data) }
 
 // ShakeSum256Into squeezes len(dst) bytes of SHAKE256 over the
 // concatenation of data into dst without allocating.
-func ShakeSum256Into(dst []byte, data ...[]byte) { sumInto(136, 0x1F, dst, data...) }
+func ShakeSum256Into(dst []byte, data ...[]byte) { shakeInto(&shake256Pool, dst, data) }
 
 // ShakeSum128 squeezes size bytes of SHAKE128 over the concatenation of data.
 func ShakeSum128(size int, data ...[]byte) []byte {
 	out := make([]byte, size)
-	ShakeSum128Into(out, data...)
+	shakeInto(&shake128Pool, out, data)
 	return out
 }
 
 // ShakeSum256 squeezes size bytes of SHAKE256 over the concatenation of data.
 func ShakeSum256(size int, data ...[]byte) []byte {
 	out := make([]byte, size)
-	ShakeSum256Into(out, data...)
+	shakeInto(&shake256Pool, out, data)
 	return out
 }

@@ -81,11 +81,16 @@ func TestCampaignAggregation(t *testing.T) {
 }
 
 // White-box: libcrypto must dominate the server for a signing-heavy suite.
+// The profiler's spans are wall time, so the CPU total they are subtracted
+// from must be wall time too (TimingReal): against the modeled total, "libc
+// = total − spans" grows with every kernel that beats its cost-model
+// constant.
 func TestWhiteBoxProfile(t *testing.T) {
 	t.Parallel()
 	r, err := RunCampaign(CampaignOptions{
 		KEM: "kyber512", Sig: "dilithium2", Link: ScenarioTestbed,
 		Buffer: tls13.BufferImmediate, Samples: 3, Seed: 1, Profile: true,
+		Timing: TimingReal,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package tls13
 
 import (
+	"crypto/hkdf"
 	"crypto/hmac"
 	"crypto/sha256"
 	"hash"
@@ -8,40 +9,29 @@ import (
 
 // The TLS 1.3 key schedule (RFC 8446 §7.1) for the SHA-256 suite.
 //
-// Two forms coexist. The package-level hkdf* functions below are the
-// straightforward allocating ones, kept for cold paths that run outside a
-// handshake's keySchedule (PSK binder keys in session.go). The keySchedule
-// methods further down are the per-handshake hot path: one reusable HMAC
-// engine plus fixed-size scratch on the handshake state make every
-// derivation — extract, expand-label, traffic keys, finished MACs, the
-// transcript hash — allocation-free in steady state.
+// The package-level hkdf* functions below are crypto/hkdf with the TLS
+// labels and defaults, for cold paths that run outside a handshake's
+// keySchedule (PSK binder keys in session.go). The keySchedule methods
+// further down are the per-handshake hot path, which crypto/hkdf cannot
+// serve without allocating: one reusable HMAC engine plus fixed-size
+// scratch on the handshake state make every derivation — extract,
+// expand-label, traffic keys, finished MACs, the transcript hash —
+// allocation-free in steady state.
 
+// hkdfExtract is HKDF-Extract with the schedule's defaults: an absent salt
+// or IKM is 32 zero bytes (RFC 8446 §7.1), not the empty string.
 func hkdfExtract(salt, ikm []byte) []byte {
 	if salt == nil {
-		salt = make([]byte, sha256.Size)
+		salt = zero32[:]
 	}
 	if ikm == nil {
-		ikm = make([]byte, sha256.Size)
+		ikm = zero32[:]
 	}
-	m := hmac.New(sha256.New, salt)
-	m.Write(ikm)
-	return m.Sum(nil)
-}
-
-func hkdfExpand(prk, info []byte, length int) []byte {
-	var out []byte
-	var block []byte
-	counter := byte(1)
-	for len(out) < length {
-		m := hmac.New(sha256.New, prk)
-		m.Write(block)
-		m.Write(info)
-		m.Write([]byte{counter})
-		block = m.Sum(nil)
-		out = append(out, block...)
-		counter++
+	prk, err := hkdf.Extract(sha256.New, ikm, salt)
+	if err != nil {
+		panic("tls13: hkdf extract: " + err.Error())
 	}
-	return out[:length]
+	return prk
 }
 
 // hkdfExpandLabel implements HKDF-Expand-Label with the "tls13 " prefix.
@@ -53,7 +43,11 @@ func hkdfExpandLabel(secret []byte, label string, context []byte, length int) []
 	info = append(info, full...)
 	info = append(info, byte(len(context)))
 	info = append(info, context...)
-	return hkdfExpand(secret, info, length)
+	out, err := hkdf.Expand(sha256.New, secret, string(info), length)
+	if err != nil {
+		panic("tls13: hkdf expand: " + err.Error())
+	}
+	return out
 }
 
 // deriveSecret is Derive-Secret(secret, label, transcript).

@@ -345,7 +345,8 @@ func TestKeySchedule(t *testing.T) {
 	if len(k) != 16 || len(iv) != 12 {
 		t.Errorf("traffic key sizes: key=%d iv=%d", len(k), len(iv))
 	}
-	// The zero-alloc schedule must agree with the reference HKDF functions.
+	// The zero-alloc schedule must agree with crypto/hkdf, which the
+	// package-level hkdf* functions wrap.
 	hs := hkdfExtract(deriveSecret(noPSKEarly[:], "derived", emptyHash()), ss)
 	th := ks1.transcriptHash()
 	want := deriveSecret(hs, "c hs traffic", append([]byte{}, th...))

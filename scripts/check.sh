@@ -33,8 +33,9 @@ echo "==> go test -race"
 go test -race ./...
 
 echo "==> fuzz smoke (${FUZZTIME:-5s} per target)"
-for target in FuzzClientHelloParse FuzzServerHelloParse FuzzRecordDeprotect; do
-    go test ./internal/tls13 -run '^$' -fuzz "$target" -fuzztime "${FUZZTIME:-5s}"
+for pair in internal/tls13:FuzzClientHelloParse internal/tls13:FuzzServerHelloParse \
+    internal/tls13:FuzzRecordDeprotect internal/crypto/sha3:FuzzSpongeVsReference; do
+    go test "./${pair%%:*}" -run '^$' -fuzz "${pair#*:}" -fuzztime "${FUZZTIME:-5s}"
 done
 
 echo "==> live smoke: loopback handshakes under -race, schedule digest reproducible"
