@@ -4,13 +4,13 @@ FUZZTIME ?= 5s
 # (see EXPERIMENTS.md).
 TABLE4FLAGS ?= -samples 5 -timing model
 
-.PHONY: check lint vet build test race fuzz-smoke live-smoke saturate-smoke dist-smoke phases-smoke timeline-smoke table4 clean
+.PHONY: check lint vet build test race fuzz-smoke live-smoke dist-smoke phases-smoke timeline-smoke table4 clean
 
 # check is the CI entry point. scripts/check.sh is its one definition:
 # static checks, build, the full test suite, the race-enabled suite, a short
-# fuzz pass over each wire-parsing target, the live, saturate, dist, phases
-# and timeline smokes, and the workers-1-vs-8 determinism diff. The targets
-# below run single steps of it by hand. Performance is measured by
+# fuzz pass over each wire-parsing target, the live, dist, phases and
+# timeline smokes, and the workers-1-vs-8 determinism diff. The targets below
+# run single steps of it by hand. Performance is measured by
 # `bash bench/run.sh` (BENCHMARK.json), not here.
 check:
 	sh scripts/check.sh
@@ -65,21 +65,6 @@ live-smoke:
 	if [ -z "$$d1" ] || [ "$$d1" != "$$d2" ]; then \
 		echo "live-smoke: schedule digest not reproducible: '$$d1' vs '$$d2'"; exit 1; fi; \
 	echo "live-smoke OK: schedule digest $$d1 reproducible across runs"
-
-# saturate-smoke runs a short `pqbench saturate` ladder (sharded accept,
-# split-schedule dispatch, resumption on the shared ticket store) under the
-# race detector, twice, and checks the sweep digest — the fingerprint of
-# every rung's seeded arrival plan — is identical both times. Achieved
-# rates are the host's; the offered plans must not be.
-saturate-smoke:
-	$(GO) build -race -o bin/pqbench-race ./cmd/pqbench
-	@d1=$$(bin/pqbench-race saturate -rate 40 -duration 1s -rungs 2 -shards 1,2 -resume | \
-		tee /dev/stderr | sed -n 's/.*sweep digest \([0-9a-f]*\).*/\1/p'); \
-	d2=$$(bin/pqbench-race saturate -rate 40 -duration 1s -rungs 2 -shards 1,2 -resume | \
-		sed -n 's/.*sweep digest \([0-9a-f]*\).*/\1/p'); \
-	if [ -z "$$d1" ] || [ "$$d1" != "$$d2" ]; then \
-		echo "saturate-smoke: sweep digest not reproducible: '$$d1' vs '$$d2'"; exit 1; fi; \
-	echo "saturate-smoke OK: sweep digest $$d1 reproducible across runs"
 
 # dist-smoke exercises the distributed load-generation subsystem end to end
 # under the race detector, in Simulate mode (where the merged Result is a

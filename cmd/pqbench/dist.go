@@ -36,7 +36,6 @@ func runDistCoordinator(args []string) error {
 	kemName := fs.String("kem", "kyber768", "key agreement (see pqbench list)")
 	sigName := fs.String("sig", "dilithium3", "certificate signature algorithm")
 	resume := fs.Bool("resume", false, "PSK-resumed handshakes (one priming handshake per worker)")
-	amortize := fs.Bool("amortize", false, "share chain/verifier caches within each worker's pool")
 	simulate := fs.Bool("simulate", false, "deterministic synthetic latencies: no server, exact cross-process reproducibility")
 	rate := fs.Float64("rate", 200, "offered load in handshakes/second (open loop, whole fleet)")
 	duration := fs.Duration("duration", 2*time.Second, "schedule span")
@@ -81,7 +80,7 @@ func runDistCoordinator(args []string) error {
 	// one on loopback, exactly as `pqbench live` does.
 	job := dist.JobSpec{
 		KEM: *kemName, Sig: *sigName, Addr: *addr,
-		Simulate: *simulate, Resume: *resume, Amortize: *amortize,
+		Simulate: *simulate, Resume: *resume,
 		Warmup: *warmup, MaxConcurrent: *conns,
 		HandshakeTimeout: *hsTimeout, StartDelay: *startDelay,
 		WindowInterval: *window,

@@ -38,7 +38,6 @@ func runLive(args []string) error {
 	hsTimeout := fs.Duration("timeout", 10*time.Second, "per-connection handshake deadline")
 	samples := fs.Int("samples", 5, "modeled-campaign samples for the prediction column")
 	metrics := fs.String("metrics", "", "serve Prometheus /metrics + /healthz on this address for the run (e.g. 127.0.0.1:9090)")
-	amortize := fs.Bool("amortize", false, "share chain-verification and verifier-context caches across client connections")
 	jsonOut := fs.Bool("json", false, "emit the run's Result on stdout in the canonical JSON encoding (the same layout the distributed protocol pins); human-readable chatter moves to stderr")
 	window := fs.Duration("window", 0, "windowed telemetry interval: per-window snapshots, a live progress line, and the timeline in -json output (0 = off)")
 	timelinePath := fs.String("timeline", "", "write the run's timeline artifacts to this path base (.jsonl + .csv; implies -window 1s if unset)")
@@ -105,7 +104,6 @@ func runLive(args []string) error {
 		MaxConcurrent:    *conns,
 		HandshakeTimeout: *hsTimeout,
 		Resume:           *resume,
-		Amortize:         *amortize,
 	}
 	var tl *obs.Timeline
 	stopProgress := func() {}

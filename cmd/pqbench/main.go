@@ -37,61 +37,76 @@ import (
 	"pqtls/internal/tls13"
 )
 
+// subcommand is one row of the dispatch table. main looks commands up in
+// it, usage() prints it, and docs_test.go checks the how-to docs against it.
+type subcommand struct {
+	name string
+	// own runs a subcommand that parses its own flag set; help is its usage
+	// line.
+	own  func(args []string) error
+	help string
+	// run executes a subcommand under the shared campaign flags (-samples,
+	// -buffer, -workers, -timing, -csv); args is what follows them.
+	run func(cfg harness.SweepConfig, args []string) error
+}
+
+// sweep adapts a campaign that takes no positional arguments.
+func sweep(f func(harness.SweepConfig) error) func(harness.SweepConfig, []string) error {
+	return func(cfg harness.SweepConfig, _ []string) error { return f(cfg) }
+}
+
+var subcommands = []subcommand{
+	{name: "all-kem", run: sweep(runTable2a)},
+	{name: "all-sig", run: sweep(runTable2b)},
+	{name: "deviation", run: sweep(runDeviation)},
+	{name: "improvement", run: sweep(runImprovement)},
+	{name: "whitebox", run: sweep(runWhitebox)},
+	{name: "all-kem-scenarios", run: func(cfg harness.SweepConfig, _ []string) error { return runScenarios(cfg, true) }},
+	{name: "all-sig-scenarios", run: func(cfg harness.SweepConfig, _ []string) error { return runScenarios(cfg, false) }},
+	{name: "rank", run: sweep(runRank)},
+	{name: "attack", run: sweep(runAttack)},
+	{name: "cwnd", run: sweep(runCWND)},
+	{name: "all-sphincs", run: sweep(runAllSphincs)},
+	{name: "hrr", run: sweep(runHRR)},
+	{name: "chains", run: sweep(runChains)},
+	{name: "resumption", run: sweep(runResumption)},
+	{name: "capture", run: func(_ harness.SweepConfig, args []string) error { return runCapture(args) }},
+	{name: "list", run: func(harness.SweepConfig, []string) error { runList(); return nil }},
+
+	{name: "live", own: runLive,
+		help: "real-socket load test over loopback (own flags; pqbench live -h)"},
+	{name: "dist-coordinator", own: runDistCoordinator,
+		help: "split one load plan across dist-worker processes, merge bucket-exactly (own flags)"},
+	{name: "dist-worker", own: runDistWorker,
+		help: "load-generation worker driven by a dist-coordinator (own flags)"},
+	{name: "phases", own: runPhases,
+		help: "per-phase handshake breakdown with span traces (own flags; pqbench phases -h)"},
+	{name: "timeline", own: runTimeline,
+		help: "render a windowed-telemetry JSONL artifact as a table (pqbench timeline -h)"},
+}
+
+func lookup(name string) *subcommand {
+	for i := range subcommands {
+		if subcommands[i].name == name {
+			return &subcommands[i]
+		}
+	}
+	return nil
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
-	if cmd == "live" {
-		// live measures real wall-clock handshakes and takes its own flag
-		// set (rate, duration, warmup, ...) — see live.go.
-		if err := runLive(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "pqbench:", err)
-			os.Exit(1)
-		}
-		return
+	sc := lookup(cmd)
+	if sc == nil {
+		usage()
+		os.Exit(2)
 	}
-	if cmd == "saturate" {
-		// saturate sweeps accept-shard counts against an escalating offered
-		// rate to find the host's handshake ceiling — see saturate.go.
-		if err := runSaturate(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "pqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "dist-coordinator" {
-		// dist-coordinator partitions one arrival plan across dist-worker
-		// processes and merges their results bucket-exactly — see dist.go.
-		if err := runDistCoordinator(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "pqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "dist-worker" {
-		// dist-worker registers with a coordinator and executes assigned
-		// load-generation shards — see dist.go.
-		if err := runDistWorker(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "pqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "timeline" {
-		// timeline renders a windowed-telemetry JSONL artifact written by
-		// live/saturate/dist-coordinator -timeline — see timeline.go.
-		if err := runTimeline(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "pqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "phases" {
-		// phases traces one grid cell's handshake span tree — own flag set
-		// (ka, sa, buffer, live, ...) — see phases.go.
-		if err := runPhases(os.Args[2:]); err != nil {
+	if sc.own != nil {
+		if err := sc.own(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "pqbench:", err)
 			os.Exit(1)
 		}
@@ -122,44 +137,7 @@ func main() {
 	}
 
 	start := time.Now()
-	var err error
-	switch cmd {
-	case "all-kem":
-		err = runTable2a(cfg)
-	case "all-sig":
-		err = runTable2b(cfg)
-	case "deviation":
-		err = runDeviation(cfg)
-	case "improvement":
-		err = runImprovement(cfg)
-	case "whitebox":
-		err = runWhitebox(cfg)
-	case "all-kem-scenarios":
-		err = runScenarios(cfg, true)
-	case "all-sig-scenarios":
-		err = runScenarios(cfg, false)
-	case "rank":
-		err = runRank(cfg)
-	case "attack":
-		err = runAttack(cfg)
-	case "cwnd":
-		err = runCWND(cfg)
-	case "all-sphincs":
-		err = runAllSphincs(cfg)
-	case "hrr":
-		err = runHRR(cfg)
-	case "chains":
-		err = runChains(cfg)
-	case "resumption":
-		err = runResumption(cfg)
-	case "capture":
-		err = runCapture(fs.Args())
-	case "list":
-		runList()
-	default:
-		usage()
-		os.Exit(2)
-	}
+	err := sc.run(cfg, fs.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pqbench:", err)
 		os.Exit(1)
@@ -214,18 +192,20 @@ func writeCSV(emit func(w io.Writer) error) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: pqbench <command> [-samples N] [-buffer default|immediate] [-workers N] [-timing model|real]
+	var campaigns []string
+	var own strings.Builder
+	for _, sc := range subcommands {
+		if sc.own == nil {
+			campaigns = append(campaigns, sc.name)
+		} else {
+			fmt.Fprintf(&own, "%-17s %s\n", sc.name+":", sc.help)
+		}
+	}
+	fmt.Fprintf(os.Stderr, `usage: pqbench <command> [-samples N] [-buffer default|immediate] [-workers N] [-timing model|real]
 
-commands: all-kem all-sig deviation improvement whitebox
-          all-kem-scenarios all-sig-scenarios rank attack
-          cwnd all-sphincs hrr chains resumption capture list
+commands: %s
 
-live:       real-socket load test over loopback (own flags; pqbench live -h)
-saturate:   sharded-accept scaling sweep to the host's handshake ceiling (own flags; pqbench saturate -h)
-dist-coordinator: split one load plan across dist-worker processes, merge bucket-exactly (own flags)
-dist-worker: load-generation worker driven by a dist-coordinator (own flags)
-phases:     per-phase handshake breakdown with span traces (own flags; pqbench phases -h)
-timeline:   render a windowed-telemetry JSONL artifact as a table (pqbench timeline -h)`)
+%s`, strings.Join(campaigns, " "), own.String())
 }
 
 func ms(d time.Duration) string {

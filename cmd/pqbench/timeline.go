@@ -13,8 +13,8 @@ import (
 	"pqtls/internal/obs"
 )
 
-// Windowed-telemetry plumbing shared by the load-driving subcommands: live,
-// saturate, and dist-coordinator all accept -window (enable per-window
+// Windowed-telemetry plumbing shared by the load-driving subcommands: live
+// and dist-coordinator both accept -window (enable per-window
 // telemetry and a live progress line at that cadence) and -timeline (write
 // the run's timeline as digest-checkable results/ artifacts), and the
 // `pqbench timeline` subcommand renders those artifacts back into a table.

@@ -44,8 +44,9 @@ const (
 	// equality. Bump it when any frame layout (including the loadgen
 	// codecs) changes. Version 2: JobSpec gained WindowInterval, Progress
 	// frames carry an optional windowed timeline, and the Result codec
-	// grew its trailing timeline (resultCodecV2).
-	Version = uint16(2)
+	// grew its trailing timeline (resultCodecV2). Version 3: the Assign
+	// flags byte lost its amortize bit and unknown bits are rejected.
+	Version = uint16(3)
 	// MaxFrame bounds one frame's body (type byte + payload). The largest
 	// legitimate frame is an Assign carrying a shard's offsets (8 bytes per
 	// arrival); 16 MiB is ~2M arrivals per shard. Anything larger is a
@@ -183,8 +184,8 @@ type JobSpec struct {
 	// Simulate runs loadgen's deterministic synthetic mode — no sockets,
 	// exact cross-process reproducibility.
 	Simulate bool
-	// Resume and Amortize mirror loadgen.Options.
-	Resume, Amortize bool
+	// Resume mirrors loadgen.Options.
+	Resume bool
 	// Warmup, MaxConcurrent, DialTimeout, HandshakeTimeout mirror
 	// loadgen.Options (zero values take loadgen's defaults).
 	Warmup                        time.Duration
@@ -203,7 +204,10 @@ type JobSpec struct {
 const (
 	jobFlagSimulate = 1 << iota
 	jobFlagResume
-	jobFlagAmortize
+
+	// jobFlagsKnown is every bit this version defines; decodeAssign rejects
+	// the rest so a skewed or corrupt peer cannot be half-understood.
+	jobFlagsKnown = jobFlagSimulate | jobFlagResume
 )
 
 // appendString appends a u16-length-prefixed string.
@@ -347,9 +351,6 @@ func encodeAssign(shard, stride int, job JobSpec, part *loadgen.Schedule) []byte
 	if job.Resume {
 		flags |= jobFlagResume
 	}
-	if job.Amortize {
-		flags |= jobFlagAmortize
-	}
 	b = append(b, flags)
 	b = appendString(b, job.KEM)
 	b = appendString(b, job.Sig)
@@ -371,7 +372,6 @@ func decodeAssign(payload []byte) (shard, stride int, job JobSpec, part *loadgen
 	flags := r.u8()
 	job.Simulate = flags&jobFlagSimulate != 0
 	job.Resume = flags&jobFlagResume != 0
-	job.Amortize = flags&jobFlagAmortize != 0
 	job.KEM = r.str()
 	job.Sig = r.str()
 	job.Addr = r.str()
@@ -387,6 +387,9 @@ func decodeAssign(payload []byte) (shard, stride int, job JobSpec, part *loadgen
 	}
 	if stride < 1 || shard < 0 || shard >= stride {
 		return 0, 0, JobSpec{}, nil, fmt.Errorf("dist: assign shard %d of stride %d out of range", shard, stride)
+	}
+	if unknown := flags &^ jobFlagsKnown; unknown != 0 {
+		return 0, 0, JobSpec{}, nil, fmt.Errorf("dist: assign carries unknown job flags %#02x", unknown)
 	}
 	part = &loadgen.Schedule{}
 	if err := part.UnmarshalBinary(sched); err != nil {

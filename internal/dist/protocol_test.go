@@ -150,7 +150,7 @@ func TestAssignRoundTrip(t *testing.T) {
 	}
 	job := JobSpec{
 		KEM: "kyber768", Sig: "dilithium3", Addr: "127.0.0.1:4433",
-		Simulate: true, Resume: true, Amortize: true,
+		Simulate: true, Resume: true,
 		Warmup: 50 * time.Millisecond, MaxConcurrent: 64,
 		DialTimeout: time.Second, HandshakeTimeout: 2 * time.Second,
 		StartDelay:     100 * time.Millisecond,
@@ -179,6 +179,13 @@ func TestAssignRoundTrip(t *testing.T) {
 	// Out-of-range shard coordinates are rejected.
 	if _, _, _, _, err := decodeAssign(encodeAssign(2, 2, job, parts[1])); err == nil {
 		t.Fatal("shard == stride accepted")
+	}
+	// A flags byte (offset 8, after shard and stride) with a bit this
+	// version does not define is rejected, not ignored.
+	unknown := append([]byte(nil), payload...)
+	unknown[8] |= 1 << 2
+	if _, _, _, _, err := decodeAssign(unknown); err == nil || !strings.Contains(err.Error(), "unknown job flags") {
+		t.Fatalf("unknown flag bit error = %v", err)
 	}
 }
 

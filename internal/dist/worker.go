@@ -227,7 +227,6 @@ func (w *workerSession) runShard(shard, stride int, job JobSpec, part *loadgen.S
 		DialTimeout:      job.DialTimeout,
 		HandshakeTimeout: job.HandshakeTimeout,
 		Resume:           job.Resume,
-		Amortize:         job.Amortize,
 		Simulate:         job.Simulate,
 		Cancel:           w.cancel,
 		Progress:         prog,

@@ -10,8 +10,8 @@ import (
 
 // Streaming campaign aggregation. The grid used to buffer every sample of
 // every cell ([][]*sampleResult) until the whole campaign finished, which
-// makes memory grow linearly with Samples — hostile to the 100k-sample
-// sweeps the saturate harness wants. A cellAggregator instead folds each
+// makes memory grow linearly with Samples — hostile to 100k-sample
+// sweeps. A cellAggregator instead folds each
 // sample into the row the moment it completes, in whatever order the worker
 // pool delivers them, and retains only value-frequency maps.
 //

@@ -2,6 +2,7 @@ package live_test
 
 import (
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -256,6 +257,61 @@ func TestAcceptBackoff(t *testing.T) {
 	if !strings.Contains(logs.String(), "retrying") {
 		t.Error("accept retry was not logged")
 	}
+}
+
+// stuckListener always fails Accept with a transient error, pinning the
+// accept loop inside its backoff sleep.
+type stuckListener struct {
+	net.Listener
+}
+
+func (l *stuckListener) Accept() (net.Conn, error) { return nil, tempErr{} }
+
+// TestShutdownMidBackoffNoLeak is the leak regression for Close racing the
+// accept-retry sleep: Shutdown during the backoff window must return
+// promptly and leave no runtime goroutines (accept loop, metrics listener)
+// behind.
+func TestShutdownMidBackoffNoLeak(t *testing.T) {
+	creds, err := harness.CredentialsFor("ecdsa-p256", 1)
+	if err != nil {
+		t.Fatalf("credentials: %v", err)
+	}
+	cfg := &tls13.Config{
+		KEMName: "x25519", SigName: "ecdsa-p256", ServerName: "server.example",
+		Chain: creds.Chain, PrivateKey: creds.Priv,
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		inner, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		srv, err := live.Serve(&stuckListener{Listener: inner}, live.Options{
+			Config:      cfg,
+			MetricsAddr: "127.0.0.1:0",
+		})
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+		// Give the loop time to hit the error path and enter its backoff
+		// sleep, then race Shutdown against it.
+		time.Sleep(20 * time.Millisecond)
+		done := make(chan error, 1)
+		go func() { done <- srv.Shutdown(5 * time.Second) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("shutdown: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Shutdown hung while the accept loop was mid-backoff")
+		}
+		if srv.Counters().AcceptRetries == 0 {
+			t.Error("test never reached the backoff path")
+		}
+	}
+	// The accept-loop and metrics goroutines must all be gone.
+	waitGoroutines(t, before)
 }
 
 // TestShutdownIdempotent checks Shutdown can be called twice without

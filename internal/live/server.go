@@ -89,10 +89,6 @@ type Options struct {
 	// is readable mid-run via (*Server).Timeline (snapshot with Clone) and
 	// feeds the run timeline artifacts.
 	WindowInterval time.Duration
-	// Timeline, when non-nil, receives the windowed events instead of a
-	// freshly created timeline — ServeSharded passes one shared timeline to
-	// every shard. Its interval wins over WindowInterval.
-	Timeline *obs.Timeline
 }
 
 // Counters is a point-in-time snapshot of a runtime's bookkeeping. Every
@@ -173,8 +169,8 @@ type Server struct {
 // is what makes resumption work across connections) and, when the caller
 // supplied a private key but no Signer, a signing context for that key, so
 // per-key setup (Dilithium's matrix expansion and secret NTTs) is paid once
-// instead of per handshake. Resolving a resolved config changes nothing,
-// which is how ServeSharded's shards share one store and one context.
+// instead of per handshake. A template that already carries a store or a
+// Signer keeps it, which is how several runtimes share one.
 func resolveConfig(tmpl *tls13.Config) (*tls13.Config, error) {
 	cfg := *tmpl
 	if cfg.Tickets == nil {
@@ -233,10 +229,7 @@ func Serve(ln net.Listener, opts Options) (*Server, error) {
 		reg:      reg,
 		start:    time.Now(),
 	}
-	switch {
-	case opts.Timeline != nil:
-		s.timeline = opts.Timeline
-	case opts.WindowInterval > 0:
+	if opts.WindowInterval > 0 {
 		s.timeline = obs.NewTimeline(opts.WindowInterval)
 	}
 	// Every family is registered up front so a scrape sees the full schema
@@ -293,9 +286,9 @@ func (s *Server) MetricsAddr() net.Addr {
 // Registry returns the registry the runtime records into.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Timeline returns the runtime's windowed timeline, or nil when neither
-// Options.WindowInterval nor Options.Timeline enabled one. Snapshot a live
-// runtime with Clone before encoding.
+// Timeline returns the runtime's windowed timeline, or nil when
+// Options.WindowInterval did not enable one. Snapshot a live runtime with
+// Clone before encoding.
 func (s *Server) Timeline() *obs.Timeline { return s.timeline }
 
 // TicketStats exposes the shared ticket store's counters.

@@ -39,40 +39,36 @@ func startPQLive(t *testing.T) (*live.Server, *tls13.Config) {
 }
 
 // TestE2EPrecomputedFullHandshakes is the end-to-end contract of the
-// precomputed contexts over real sockets: a default kyber768/dilithium3
-// server against a client fleet that verifies one-shot or, with Amortize,
-// through the shared chain and verifier caches, full handshakes only.
+// precomputed signing context over real sockets: a default
+// kyber768/dilithium3 server against a client fleet, full handshakes only.
 // Every handshake must succeed on both ends.
 func TestE2EPrecomputedFullHandshakes(t *testing.T) {
-	for _, amortize := range []bool{false, true} {
-		srv, cfg := startPQLive(t)
-		sched := NewSchedule(7, DistUniform, 100, 400*time.Millisecond)
-		res, err := Run(Options{
-			Addr: srv.Addr().String(), Config: cfg, Schedule: sched,
-			Amortize: amortize,
-		})
-		if err != nil {
-			t.Fatalf("amortize=%v: run: %v", amortize, err)
-		}
-		if err := srv.Shutdown(10 * time.Second); err != nil {
-			t.Fatalf("amortize=%v: drain: %v", amortize, err)
-		}
-		if res.Failed != 0 {
-			t.Fatalf("amortize=%v: failures on loopback: %v", amortize, res.Errors)
-		}
-		if res.Completed != res.Started {
-			t.Errorf("amortize=%v: completed %d of %d", amortize, res.Completed, res.Started)
-		}
-		if c := srv.Counters(); c.Completed != res.Completed || c.FailedTotal() != 0 {
-			t.Errorf("amortize=%v: server completed %d failed %d, client completed %d",
-				amortize, c.Completed, c.FailedTotal(), res.Completed)
-		}
-		// The schedule the run executed is reproducible: an identically
-		// parameterized schedule digests to the same plan (what live-smoke
-		// asserts across separate processes).
-		if got, want := sched.Digest(), NewSchedule(7, DistUniform, 100, 400*time.Millisecond).Digest(); got != want {
-			t.Errorf("schedule digest not reproducible: %s vs %s", got, want)
-		}
+	srv, cfg := startPQLive(t)
+	sched := NewSchedule(7, DistUniform, 100, 400*time.Millisecond)
+	res, err := Run(Options{
+		Addr: srv.Addr().String(), Config: cfg, Schedule: sched,
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if err := srv.Shutdown(10 * time.Second); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if res.Failed != 0 {
+		t.Fatalf("failures on loopback: %v", res.Errors)
+	}
+	if res.Completed != res.Started {
+		t.Errorf("completed %d of %d", res.Completed, res.Started)
+	}
+	if c := srv.Counters(); c.Completed != res.Completed || c.FailedTotal() != 0 {
+		t.Errorf("server completed %d failed %d, client completed %d",
+			c.Completed, c.FailedTotal(), res.Completed)
+	}
+	// The schedule the run executed is reproducible: an identically
+	// parameterized schedule digests to the same plan (what live-smoke
+	// asserts across separate processes).
+	if got, want := sched.Digest(), NewSchedule(7, DistUniform, 100, 400*time.Millisecond).Digest(); got != want {
+		t.Errorf("schedule digest not reproducible: %s vs %s", got, want)
 	}
 }
 
@@ -84,7 +80,7 @@ func TestE2EPrecomputedResumption(t *testing.T) {
 	sched := NewSchedule(11, DistExponential, 100, 300*time.Millisecond)
 	res, err := Run(Options{
 		Addr: srv.Addr().String(), Config: cfg, Schedule: sched,
-		Resume: true, Amortize: true,
+		Resume: true,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -119,7 +115,7 @@ func TestE2EDrainMidRefill(t *testing.T) {
 	defer stop.Stop()
 	res, err := Run(Options{
 		Addr: srv.Addr().String(), Config: cfg, Schedule: sched,
-		Amortize: true, Cancel: cancel,
+		Cancel: cancel,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -15,7 +15,6 @@ import (
 
 	"pqtls/internal/live"
 	"pqtls/internal/obs"
-	"pqtls/internal/sig"
 	"pqtls/internal/tls13"
 )
 
@@ -65,12 +64,6 @@ type Options struct {
 	// every successful post-warmup handshake: the tls13 phase hooks plus a
 	// flight-wait span around each blocking record read.
 	Trace *obs.Collector
-	// Amortize installs a shared chain-verification cache and a shared
-	// verifier-context cache across the whole connection pool, so only the
-	// first full handshake pays the real certificate parse/verify and
-	// per-key verification setup — the steady-state of a client that keeps
-	// talking to one server. Modeled charges are unaffected.
-	Amortize bool
 	// Simulate replaces every real dial+handshake with a synthetic latency
 	// that is a pure function of (Schedule.Seed, sample index). The
 	// dispatch machinery — open-loop pacing, the concurrency limiter,
@@ -213,15 +206,6 @@ func RunWorkers(opts Options, workers int) (*Result, error) {
 		workers = n // fewer arrivals than dispatchers: shrink, don't idle
 	}
 
-	if opts.Amortize && !opts.Simulate {
-		// One shared set of caches for the whole pool: the per-connection
-		// shallow copies in oneHandshake all point at these.
-		cfg := *opts.Config
-		cfg.ChainCache = tls13.NewChainCache()
-		cfg.Verifiers = sig.NewVerifierCache(0)
-		opts.Config = &cfg
-	}
-
 	var sess *tls13.Session
 	if opts.Resume && !opts.Simulate {
 		var err error
@@ -297,12 +281,6 @@ func RunShard(opts Options, worker, stride int) (*Result, error) {
 	}
 	if worker < 0 || stride < 1 || worker >= stride {
 		return nil, fmt.Errorf("loadgen: RunShard(%d, %d): worker must be in [0, stride)", worker, stride)
-	}
-	if opts.Amortize && !opts.Simulate {
-		cfg := *opts.Config
-		cfg.ChainCache = tls13.NewChainCache()
-		cfg.Verifiers = sig.NewVerifierCache(0)
-		opts.Config = &cfg
 	}
 	var sess *tls13.Session
 	if opts.Resume && !opts.Simulate {

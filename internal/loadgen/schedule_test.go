@@ -92,7 +92,7 @@ func TestParseDist(t *testing.T) {
 // TestScheduleSplit pins the sharded-dispatch contract: Split partitions
 // the plan round-robin with absolute offsets preserved, covers it exactly,
 // and is deterministic — same seed and worker count, same parts, same
-// digests. The saturate sweep's reproducibility rests on this.
+// digests. The dist coordinator's digest-exact merge rests on this.
 func TestScheduleSplit(t *testing.T) {
 	s := NewSchedule(7, DistExponential, 300, 2*time.Second)
 	const n = 3

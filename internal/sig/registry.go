@@ -18,10 +18,9 @@ type pqScheme struct {
 	keygen  func(io.Reader) (pub, priv []byte, err error)
 	sign    func(priv, msg []byte) ([]byte, error)
 	verify  func(pub, msg, sig []byte) bool
-	// signerFn/verifierFn, when set, build the scheme's precomputed
-	// signing/verification contexts (see NewSigner / NewVerifier).
-	signerFn   func(priv []byte) (Signer, error)
-	verifierFn func(pub []byte) (Verifier, error)
+	// signerFn, when set, builds the scheme's precomputed signing context
+	// (see NewSigner).
+	signerFn func(priv []byte) (Signer, error)
 }
 
 func (s *pqScheme) Name() string       { return s.name }
@@ -43,22 +42,12 @@ func (s *pqScheme) newSigner(priv []byte) (Signer, error) {
 	return s.signerFn(priv)
 }
 
-func (s *pqScheme) newVerifier(pub []byte) (Verifier, error) {
-	if s.verifierFn == nil {
-		return nil, nil
-	}
-	return s.verifierFn(pub)
-}
-
 func dilithiumScheme(p *mldsa.Params, level int) Scheme {
 	return &pqScheme{name: p.Name, level: level,
 		pkSize: p.PublicKeySize(), sigSize: p.SignatureSize(),
 		keygen: p.GenerateKey, sign: p.Sign, verify: p.Verify,
 		signerFn: func(priv []byte) (Signer, error) {
 			return p.NewSigningKey(priv)
-		},
-		verifierFn: func(pub []byte) (Verifier, error) {
-			return p.NewVerifyKey(pub)
 		}}
 }
 

@@ -389,43 +389,26 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 		}
 		endCrypto := c.cfg.span(LibCrypto)
 		defer endCrypto()
-		var entry *chainEntry
-		var cacheKey [32]byte
-		if c.cfg.ChainCache != nil {
-			cacheKey = chainKey(body)
-			entry = c.cfg.ChainCache.lookup(cacheKey)
-		}
-		if entry == nil {
-			chain := make([]*pki.Certificate, len(rawCerts))
-			for i, raw := range rawCerts {
-				cert, err := pki.Unmarshal(raw)
-				if err != nil {
-					return fmt.Errorf("tls13: certificate %d: %w", i, err)
-				}
-				chain[i] = cert
-			}
-			leaf, err := c.cfg.Roots.Verify(chain)
+		chain := make([]*pki.Certificate, len(rawCerts))
+		for i, raw := range rawCerts {
+			cert, err := pki.Unmarshal(raw)
 			if err != nil {
-				return fmt.Errorf("tls13: certificate verification: %w", err)
+				return fmt.Errorf("tls13: certificate %d: %w", i, err)
 			}
-			entry = &chainEntry{leaf: leaf, algs: make([]string, len(chain))}
-			for i, cert := range chain {
-				entry.algs[i] = cert.Algorithm
-			}
-			if c.cfg.ChainCache != nil {
-				c.cfg.ChainCache.store(cacheKey, entry)
-			}
+			chain[i] = cert
 		}
-		// Chain validation runs one signature verification per certificate;
-		// the modeled cost is charged even when a cache hit skipped the real
-		// compute.
-		for _, alg := range entry.algs {
-			c.cfg.charge(OpSigVerify, alg)
+		leaf, err := c.cfg.Roots.Verify(chain)
+		if err != nil {
+			return fmt.Errorf("tls13: certificate verification: %w", err)
 		}
-		if c.cfg.ServerName != "" && entry.leaf.Subject != c.cfg.ServerName {
-			return fmt.Errorf("tls13: certificate subject %q does not match %q", entry.leaf.Subject, c.cfg.ServerName)
+		// Chain validation runs one signature verification per certificate.
+		for _, cert := range chain {
+			c.cfg.charge(OpSigVerify, cert.Algorithm)
 		}
-		c.ServerCert = entry.leaf
+		if c.cfg.ServerName != "" && leaf.Subject != c.cfg.ServerName {
+			return fmt.Errorf("tls13: certificate subject %q does not match %q", leaf.Subject, c.cfg.ServerName)
+		}
+		c.ServerCert = leaf
 		c.ks.addMessage(full)
 		c.state = stateAwaitCV
 		return nil
@@ -450,12 +433,7 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 		}
 		endCrypto := c.cfg.span(LibCrypto)
 		content := certVerifyContent(c.ks.transcriptHash())
-		var okSig bool
-		if c.cfg.Verifiers != nil {
-			okSig = c.cfg.Verifiers.For(scheme, c.ServerCert.PublicKey).Verify(content, signature)
-		} else {
-			okSig = scheme.Verify(c.ServerCert.PublicKey, content, signature)
-		}
+		okSig := scheme.Verify(c.ServerCert.PublicKey, content, signature)
 		c.cfg.charge(OpSigVerify, name)
 		endCrypto()
 		if !okSig {

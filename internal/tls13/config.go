@@ -127,18 +127,6 @@ type Config struct {
 	// signatures verifiable under PrivateKey's public key. The modeled sign
 	// cost is charged either way.
 	Signer sig.Signer
-	// Verifiers, when set on a client, caches precomputed verification
-	// contexts by public key for the CertificateVerify check, amortizing
-	// per-key setup (Dilithium's matrix expansion) across handshakes that
-	// see the same server key. The modeled verify cost is charged either
-	// way.
-	Verifiers *sig.VerifierCache
-	// ChainCache, when set on a client, memoizes successful certificate
-	// chain verifications by the Certificate message bytes, so repeat
-	// handshakes against the same server skip re-parsing and re-verifying
-	// an unchanged chain. All configs sharing a cache must share identical
-	// Roots and the modeled per-certificate verify costs are still charged.
-	ChainCache *ChainCache
 
 	// certMsgCache and ticketCache memoize per-Config derived state (the
 	// marshaled Certificate message; the TicketStore behind a bare
