@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sort"
@@ -13,7 +11,6 @@ import (
 	"pqtls/internal/harness"
 	"pqtls/internal/live"
 	"pqtls/internal/loadgen"
-	"pqtls/internal/obs"
 	"pqtls/internal/tls13"
 )
 
@@ -38,11 +35,7 @@ func runLive(args []string) error {
 	hsTimeout := fs.Duration("timeout", 10*time.Second, "per-connection handshake deadline")
 	samples := fs.Int("samples", 5, "modeled-campaign samples for the prediction column")
 	metrics := fs.String("metrics", "", "serve Prometheus /metrics + /healthz on this address for the run (e.g. 127.0.0.1:9090)")
-	jsonOut := fs.Bool("json", false, "emit the run's Result on stdout in the canonical JSON encoding (the same layout the distributed protocol pins); human-readable chatter moves to stderr")
-	window := fs.Duration("window", 0, "windowed telemetry interval: per-window snapshots, a live progress line, and the timeline in -json output (0 = off)")
-	timelinePath := fs.String("timeline", "", "write the run's timeline artifacts to this path base (.jsonl + .csv; implies -window 1s if unset)")
 	fs.Parse(args)
-	*window = resolveWindow(*window, *timelinePath)
 
 	policy := tls13.BufferImmediate
 	if *buffer == "default" {
@@ -80,23 +73,17 @@ func runLive(args []string) error {
 	if err != nil {
 		return err
 	}
-	// In -json mode stdout carries exactly one JSON document; everything
-	// human-readable moves to stderr.
-	out := io.Writer(os.Stdout)
-	if *jsonOut {
-		out = os.Stderr
-	}
 	if a := srv.MetricsAddr(); a != nil {
-		fmt.Fprintf(out, "metrics: http://%s/metrics (healthz on the same listener)\n", a)
+		fmt.Printf("metrics: http://%s/metrics (healthz on the same listener)\n", a)
 	}
 
 	sched := loadgen.NewSchedule(*seed, distVal, *rate, *duration)
-	fmt.Fprintf(out, "pqbench live: %s + %s over loopback (%s buffering, %s arrivals at %g/s, seed %d)\n",
+	fmt.Printf("pqbench live: %s + %s over loopback (%s buffering, %s arrivals at %g/s, seed %d)\n",
 		*kemName, *sigName, *buffer, distVal, *rate, *seed)
-	fmt.Fprintf(out, "schedule: %d arrivals over %v, digest %s (reproducible; latencies below are not)\n",
+	fmt.Printf("schedule: %d arrivals over %v, digest %s (reproducible; latencies below are not)\n",
 		len(sched.Offsets), *duration, sched.Digest())
 
-	runOpts := loadgen.Options{
+	res, err := loadgen.Run(loadgen.Options{
 		Addr:             srv.Addr().String(),
 		Config:           &tls13.Config{KEMName: *kemName, SigName: *sigName, ServerName: "server.example", Roots: creds.Roots},
 		Schedule:         sched,
@@ -104,47 +91,13 @@ func runLive(args []string) error {
 		MaxConcurrent:    *conns,
 		HandshakeTimeout: *hsTimeout,
 		Resume:           *resume,
-	}
-	var tl *obs.Timeline
-	stopProgress := func() {}
-	if *window > 0 {
-		// The CLI owns the timeline so the progress printer can watch it
-		// while the dispatch loop records into it.
-		tl = obs.NewTimeline(*window)
-		runOpts.Timeline = tl
-		stopProgress = startTimelineProgress("live", *window, func() *obs.Timeline { return tl })
-	}
-	res, err := loadgen.Run(runOpts)
-	stopProgress()
+	})
 	if err != nil {
 		srv.Shutdown(time.Second)
 		return err
 	}
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		fmt.Fprintln(os.Stderr, "pqbench:", err)
-	}
-	if *timelinePath != "" {
-		if err := writeTimelineArtifacts(res.Timeline, *timelinePath); err != nil {
-			return err
-		}
-	}
-
-	if *jsonOut {
-		// One machine-readable document: the grid coordinate, the schedule
-		// fingerprint, and the Result in its canonical JSON shape.
-		doc := struct {
-			KEM            string          `json:"kem"`
-			Sig            string          `json:"sig"`
-			Buffer         string          `json:"buffer"`
-			Resumed        bool            `json:"resumed"`
-			Seed           int64           `json:"seed"`
-			ScheduleDigest string          `json:"schedule_digest"`
-			ResultDigest   string          `json:"result_digest"`
-			Result         *loadgen.Result `json:"result"`
-		}{*kemName, *sigName, *buffer, *resume, *seed, sched.Digest(), res.Digest(), res}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
 	}
 
 	// Modeled prediction for the same grid cell (deterministic).

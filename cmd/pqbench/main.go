@@ -75,14 +75,8 @@ var subcommands = []subcommand{
 
 	{name: "live", own: runLive,
 		help: "real-socket load test over loopback (own flags; pqbench live -h)"},
-	{name: "dist-coordinator", own: runDistCoordinator,
-		help: "split one load plan across dist-worker processes, merge bucket-exactly (own flags)"},
-	{name: "dist-worker", own: runDistWorker,
-		help: "load-generation worker driven by a dist-coordinator (own flags)"},
 	{name: "phases", own: runPhases,
 		help: "per-phase handshake breakdown with span traces (own flags; pqbench phases -h)"},
-	{name: "timeline", own: runTimeline,
-		help: "render a windowed-telemetry JSONL artifact as a table (pqbench timeline -h)"},
 }
 
 func lookup(name string) *subcommand {

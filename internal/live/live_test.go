@@ -102,52 +102,6 @@ func TestLoopbackFullAndResumed(t *testing.T) {
 	}
 }
 
-// TestServerTimeline pins the runtime's windowed telemetry: with
-// WindowInterval set, every accept and completion lands in the timeline,
-// totals agree with the counters, and resumption is classified.
-func TestServerTimeline(t *testing.T) {
-	srv, cliCfg := startServer(t, "x25519", "ecdsa-p256", live.Options{
-		IssueTickets:   true,
-		WindowInterval: 100 * time.Millisecond,
-	})
-	addr := srv.Addr().String()
-	sess, err := loadgen.Prime(addr, cliCfg, 5*time.Second, 30*time.Second)
-	if err != nil {
-		t.Fatalf("full handshake: %v", err)
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	cfg := *cliCfg
-	cfg.Session = sess
-	if _, err := tls13.ClientHandshake(conn, &cfg); err != nil {
-		t.Fatalf("resumed handshake: %v", err)
-	}
-	if err := srv.Shutdown(10 * time.Second); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	tl := srv.Timeline()
-	if tl == nil {
-		t.Fatal("no timeline despite WindowInterval")
-	}
-	tot := tl.Totals()
-	c := srv.Counters()
-	if tot.Started != c.Accepted || tot.Completed != c.Completed {
-		t.Errorf("timeline started/completed %d/%d, counters %d/%d",
-			tot.Started, tot.Completed, c.Accepted, c.Completed)
-	}
-	if tot.Resumed != c.Resumed {
-		t.Errorf("timeline resumed %d, counters %d", tot.Resumed, c.Resumed)
-	}
-	if tot.Failed != 0 || tot.Hist.Count() != tot.Completed {
-		t.Errorf("timeline failed %d, histogram %d of %d completions",
-			tot.Failed, tot.Hist.Count(), tot.Completed)
-	}
-}
-
 // TestHandshakeDeadline verifies a stalled peer cannot hold a connection
 // slot: the server's per-connection deadline fires and the failure is
 // classified as a timeout.

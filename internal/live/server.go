@@ -83,12 +83,6 @@ type Options struct {
 	// config, filling pqtls_handshake_phase_seconds{phase=...} histograms
 	// and pqtls_pubkey_ops_total{op,alg} counters.
 	PhaseMetrics bool
-	// WindowInterval, when > 0, additionally records every accept,
-	// completion, and failure into a windowed Timeline at this interval,
-	// stamped with wall-clock offsets from the runtime's start. The timeline
-	// is readable mid-run via (*Server).Timeline (snapshot with Clone) and
-	// feeds the run timeline artifacts.
-	WindowInterval time.Duration
 }
 
 // Counters is a point-in-time snapshot of a runtime's bookkeeping. Every
@@ -139,9 +133,6 @@ type Server struct {
 	shutdown chan struct{}
 	loopDone chan struct{}
 	wg       sync.WaitGroup
-
-	timeline *obs.Timeline // nil unless windowed telemetry is enabled
-	start    time.Time     // timeline epoch
 
 	reg           *obs.Registry
 	accepted      *obs.Counter
@@ -227,10 +218,6 @@ func Serve(ln net.Listener, opts Options) (*Server, error) {
 		conns:    make(map[net.Conn]struct{}),
 		failed:   make(map[string]*obs.Counter),
 		reg:      reg,
-		start:    time.Now(),
-	}
-	if opts.WindowInterval > 0 {
-		s.timeline = obs.NewTimeline(opts.WindowInterval)
 	}
 	// Every family is registered up front so a scrape sees the full schema
 	// before any traffic arrives.
@@ -285,11 +272,6 @@ func (s *Server) MetricsAddr() net.Addr {
 
 // Registry returns the registry the runtime records into.
 func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Timeline returns the runtime's windowed timeline, or nil when
-// Options.WindowInterval did not enable one. Snapshot a live runtime with
-// Clone before encoding.
-func (s *Server) Timeline() *obs.Timeline { return s.timeline }
 
 // TicketStats exposes the shared ticket store's counters.
 func (s *Server) TicketStats() tls13.TicketStats { return s.cfg.Tickets.Stats() }
@@ -425,9 +407,6 @@ func (s *Server) handle(conn net.Conn) {
 	// The deadline covers the whole exchange: a peer that stalls mid-flight
 	// unblocks the read and frees the slot instead of leaking a goroutine.
 	conn.SetDeadline(time.Now().Add(s.opts.HandshakeTimeout))
-	if s.timeline != nil {
-		s.timeline.RecordStart(time.Since(s.start))
-	}
 	t0 := time.Now()
 	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(conn)
@@ -439,21 +418,14 @@ func (s *Server) handle(conn net.Conn) {
 	if err != nil {
 		class := Classify(err)
 		s.failedCounter(class).Inc()
-		if s.timeline != nil {
-			s.timeline.RecordFailure(time.Since(s.start), class)
-		}
 		s.logf("live: %s: handshake failed (%s): %v", conn.RemoteAddr(), class, err)
 		return
 	}
-	hsDur := time.Since(t0)
-	s.hsDur.Observe(hsDur)
+	s.hsDur.Observe(time.Since(t0))
 	resumed := srv.ResumedSession()
 	s.completed.Inc()
 	if resumed {
 		s.resumed.Inc()
-	}
-	if s.timeline != nil {
-		s.timeline.RecordComplete(time.Since(s.start), hsDur, resumed, false)
 	}
 
 	if s.opts.IssueTickets && !resumed {

@@ -100,39 +100,3 @@ func TestE2EPrecomputedResumption(t *testing.T) {
 			c.Completed, c.Resumed, res.Completed+1, res.Completed)
 	}
 }
-
-// TestE2EDrainMidRefill interleaves the shutdown paths: the run is
-// cancelled while the client pool is still refilling its slots with new
-// arrivals, and the server then drains behind the last connection. Nothing
-// dispatched may error, hang, or be lost; run under -race by the CI gate.
-func TestE2EDrainMidRefill(t *testing.T) {
-	srv, cfg := startPQLive(t)
-	cancel := make(chan struct{})
-	sched := NewSchedule(3, DistUniform, 120, 300*time.Millisecond)
-	// Land the cancel mid-run: handshakes are in flight and further
-	// arrivals are due when it fires.
-	stop := time.AfterFunc(50*time.Millisecond, func() { close(cancel) })
-	defer stop.Stop()
-	res, err := Run(Options{
-		Addr: srv.Addr().String(), Config: cfg, Schedule: sched,
-		Cancel: cancel,
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if err := srv.Shutdown(10 * time.Second); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if res.Failed != 0 {
-		t.Fatalf("failures with the run cancelled mid-flight: %v", res.Errors)
-	}
-	if res.Started == 0 || res.Started >= res.Offered {
-		t.Errorf("started %d of %d offered, want a cancelled partial run", res.Started, res.Offered)
-	}
-	if res.Completed != res.Started {
-		t.Errorf("completed %d of %d", res.Completed, res.Started)
-	}
-	if c := srv.Counters(); c.Completed != res.Completed {
-		t.Errorf("server completed %d, client completed %d", c.Completed, res.Completed)
-	}
-}

@@ -2,15 +2,11 @@ package loadgen
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pqtls/internal/live"
@@ -64,52 +60,13 @@ type Options struct {
 	// every successful post-warmup handshake: the tls13 phase hooks plus a
 	// flight-wait span around each blocking record read.
 	Trace *obs.Collector
-	// Simulate replaces every real dial+handshake with a synthetic latency
-	// that is a pure function of (Schedule.Seed, sample index). The
-	// dispatch machinery — open-loop pacing, the concurrency limiter,
-	// warmup classification, histogram recording — runs unchanged, but the
-	// Result becomes fully deterministic: the same schedule produces the
-	// same histogram, counters, and digest on any host, whole or split
-	// across any number of workers or machines. This is the mode the
-	// distributed subsystem's exactness checks run in (Addr, Config, and
-	// Resume are ignored).
-	Simulate bool
-	// Cancel, when non-nil, aborts the run once closed: no further arrivals
-	// are dispatched, in-flight handshakes finish, and the Result covers
-	// what actually ran (Offered still counts the full plan). This is the
-	// graceful-drain path a SIGINT takes.
-	Cancel <-chan struct{}
-	// Progress, when non-nil, is updated with atomic adds as the run
-	// advances, so a reporting goroutine (the distributed worker's progress
-	// frames) can observe live counters without touching the Result.
-	Progress *Progress
-	// WindowInterval, when > 0, enables per-window telemetry: every start,
-	// completion, and failure is also recorded into a Timeline at this
-	// window width, and the Result carries it. In Simulate mode events are
-	// stamped with virtual offsets (scheduled arrival, arrival + synthetic
-	// latency), making the timeline — like the rest of the Result — a pure
-	// function of the arrival plan: a run split across workers or machines
-	// merges to the byte-identical timeline of the unsplit run. Live runs
-	// stamp wall-clock offsets from the shared start instant.
-	WindowInterval time.Duration
-	// Timeline, when non-nil, receives the windowed events instead of a
-	// freshly created timeline — the handle a concurrent observer (progress
-	// frames, a live status line) snapshots mid-run via Clone. Its interval
-	// wins over WindowInterval.
-	Timeline *obs.Timeline
-}
-
-// Progress mirrors the Result's headline counters as atomics a concurrent
-// observer may read mid-run.
-type Progress struct {
-	Started, Completed, Failed atomic.Uint64
 }
 
 // Result aggregates one run.
 type Result struct {
 	// Hist holds post-warmup successful handshake latencies (ClientHello
 	// written → Finished sent, the span the modeled tables call Total).
-	Hist Histogram
+	Hist obs.Histogram
 	// Offered is the number of scheduled arrivals; Started of those ran
 	// (always equal — saturated arrivals wait, they are not shed).
 	Offered, Started uint64
@@ -126,10 +83,6 @@ type Result struct {
 	// Elapsed spans run start to last completion; Rate is post-warmup
 	// completed handshakes per second of post-warmup elapsed time.
 	Elapsed time.Duration
-	// Timeline holds the run's windowed telemetry when
-	// Options.WindowInterval enabled it (nil otherwise). It participates in
-	// the canonical encoding and the digest.
-	Timeline *obs.Timeline
 }
 
 // Rate returns achieved handshakes/second over the measured (post-warmup)
@@ -142,116 +95,17 @@ func (r *Result) Rate(warmup time.Duration) float64 {
 	return float64(r.Hist.Count()) / span.Seconds()
 }
 
-// Merge folds another run's counters and latency histogram into r. The
-// log-bucketed histogram merges exactly (bucket-wise addition), so a run
-// split across dispatchers — or across machines — aggregates to the same
-// Result a single dispatcher would have produced.
-func (r *Result) Merge(o *Result) {
-	if o == nil {
-		return
-	}
-	r.Hist.Merge(&o.Hist)
-	r.Offered += o.Offered
-	r.Started += o.Started
-	r.Completed += o.Completed
-	r.Failed += o.Failed
-	r.Warmup += o.Warmup
-	r.Resumed += o.Resumed
-	for class, n := range o.Errors {
-		if r.Errors == nil {
-			r.Errors = make(map[string]uint64)
-		}
-		r.Errors[class] += n
-	}
-	if o.MaxLag > r.MaxLag {
-		r.MaxLag = o.MaxLag
-	}
-	if o.Elapsed > r.Elapsed {
-		r.Elapsed = o.Elapsed
-	}
-	if o.Timeline != nil {
-		if r.Timeline == nil {
-			r.Timeline = obs.NewTimeline(o.Timeline.Interval())
-		}
-		if err := r.Timeline.Merge(o.Timeline); err != nil {
-			// Mixed-interval timelines cannot be merged meaningfully; drop
-			// the aggregate rather than keep a partial one that looks whole.
-			r.Timeline = nil
-		}
-	}
-}
-
-// Run executes the schedule against the server. It returns an error only
-// for setup failures (bad options, resumption priming); individual
-// handshake failures are counted in the Result.
+// Run executes the schedule against the server: one dispatcher paces the
+// arrival offsets from the run's start instant against one concurrency
+// limiter. It returns an error only for setup failures (bad options,
+// resumption priming); individual handshake failures are counted in the
+// Result.
 func Run(opts Options) (*Result, error) {
-	return RunWorkers(opts, 1)
-}
-
-// RunWorkers executes the schedule with its arrival plan split round-robin
-// across workers dispatcher goroutines, each pacing its own slice of the
-// offsets against one shared clock and one shared concurrency limiter. A
-// single dispatcher tops out at roughly one arrival per scheduler wakeup;
-// splitting the plan keeps the offered rate honest at saturation. The
-// per-worker Results are merged bucket-exactly, so workers only changes
-// dispatch parallelism, never the semantics of the run.
-func RunWorkers(opts Options, workers int) (*Result, error) {
-	if err := normalize(&opts); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	if n := len(opts.Schedule.Offsets); workers > n {
-		workers = n // fewer arrivals than dispatchers: shrink, don't idle
-	}
-
-	var sess *tls13.Session
-	if opts.Resume && !opts.Simulate {
-		var err error
-		sess, err = Prime(opts.Addr, opts.Config, opts.DialTimeout, opts.HandshakeTimeout)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: resumption priming: %w", err)
-		}
-	}
-
-	parts, err := opts.Schedule.Split(workers)
-	if err != nil {
-		return nil, err
-	}
-	sem := make(chan struct{}, opts.MaxConcurrent)
-	results := make([]*Result, len(parts))
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w, part := range parts {
-		wg.Add(1)
-		go func(w int, part *Schedule) {
-			defer wg.Done()
-			// Sample w of part i is sample w + i*len(parts) of the original
-			// plan (round-robin split), so trace sample IDs stay unique.
-			results[w] = dispatch(&opts, part, sess, start, sem, w, len(parts))
-		}(w, part)
-	}
-	wg.Wait()
-	res := results[0]
-	for _, o := range results[1:] {
-		res.Merge(o)
-	}
-	// Every dispatcher recorded into the one shared timeline; it joins the
-	// Result only here, after the merge, so it is counted exactly once.
-	res.Timeline = opts.Timeline
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// normalize validates the options and fills in defaults. Simulate mode
-// needs no Config: nothing is dialed.
-func normalize(opts *Options) error {
 	if opts.Schedule == nil || len(opts.Schedule.Offsets) == 0 {
-		return errors.New("loadgen: empty schedule")
+		return nil, errors.New("loadgen: empty schedule")
 	}
-	if opts.Config == nil && !opts.Simulate {
-		return errors.New("loadgen: Options.Config is required")
+	if opts.Config == nil {
+		return nil, errors.New("loadgen: Options.Config is required")
 	}
 	if opts.MaxConcurrent <= 0 {
 		opts.MaxConcurrent = 128
@@ -262,156 +116,49 @@ func normalize(opts *Options) error {
 	if opts.HandshakeTimeout <= 0 {
 		opts.HandshakeTimeout = 10 * time.Second
 	}
-	if opts.Timeline == nil && opts.WindowInterval > 0 {
-		opts.Timeline = obs.NewTimeline(opts.WindowInterval)
-	}
-	return nil
-}
-
-// RunShard executes one pre-split part of a larger plan: opts.Schedule must
-// be shard `worker` of a schedule that was Split(stride) ways. Samples are
-// numbered worker + i·stride — exactly as the same shard numbers them
-// inside RunWorkers — so a shard farmed out to another process times (and,
-// in Simulate mode, reproduces) the identical samples, and the per-shard
-// Results merge back into the unsplit run's aggregate. This is the
-// distributed worker's entry point.
-func RunShard(opts Options, worker, stride int) (*Result, error) {
-	if err := normalize(&opts); err != nil {
-		return nil, err
-	}
-	if worker < 0 || stride < 1 || worker >= stride {
-		return nil, fmt.Errorf("loadgen: RunShard(%d, %d): worker must be in [0, stride)", worker, stride)
-	}
 	var sess *tls13.Session
-	if opts.Resume && !opts.Simulate {
+	if opts.Resume {
 		var err error
 		sess, err = Prime(opts.Addr, opts.Config, opts.DialTimeout, opts.HandshakeTimeout)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: resumption priming: %w", err)
 		}
 	}
-	sem := make(chan struct{}, opts.MaxConcurrent)
-	start := time.Now()
-	res := dispatch(&opts, opts.Schedule, sess, start, sem, worker, stride)
-	res.Timeline = opts.Timeline
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
 
-// simLatency is Simulate mode's synthetic handshake duration for one
-// sample: a deterministic exponential draw (mean 1 ms, clamped to 20 ms)
-// from a SHA-256 counter DRBG over (seed, sample). Only (seed, sample)
-// matter — not which worker, process, or host runs the sample — which is
-// the whole point: a split run reproduces the unsplit histogram exactly.
-func simLatency(seed int64, sample int) time.Duration {
-	var block [24]byte
-	copy(block[:8], "pqsimlat")
-	binary.BigEndian.PutUint64(block[8:], uint64(seed))
-	binary.BigEndian.PutUint64(block[16:], uint64(sample))
-	sum := sha256.Sum256(block[:])
-	u := float64(binary.BigEndian.Uint64(sum[:8])>>11) / (1 << 53)
-	lat := time.Duration(-math.Log(1-u) * float64(time.Millisecond))
-	if lat > 20*time.Millisecond {
-		lat = 20 * time.Millisecond
-	}
-	if lat < time.Microsecond {
-		lat = time.Microsecond
-	}
-	return lat
-}
-
-// dispatch paces one slice of the arrival plan. Offsets are absolute (from
-// the shared start instant), so concurrent dispatchers reproduce the exact
-// arrival process of the unsplit schedule.
-func dispatch(opts *Options, sched *Schedule, sess *tls13.Session, start time.Time, sem chan struct{}, worker, stride int) *Result {
 	res := &Result{
-		Offered: uint64(len(sched.Offsets)),
+		Offered: uint64(len(opts.Schedule.Offsets)),
 		Errors:  make(map[string]uint64),
 	}
+	sem := make(chan struct{}, opts.MaxConcurrent)
 	var wg sync.WaitGroup
 	var mu sync.Mutex // guards res aggregation from handshake goroutines
-
-arrivals:
-	for i, off := range sched.Offsets {
+	start := time.Now()
+	for i, off := range opts.Schedule.Offsets {
 		// Open loop: fire at the scheduled offset no matter what earlier
-		// handshakes are doing; only pool saturation may delay a start. A
-		// close of opts.Cancel stops dispatching new arrivals (a nil Cancel
-		// channel never fires, so the selects degrade to the plain path).
+		// handshakes are doing; only pool saturation may delay a start.
 		if d := off - time.Since(start); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-opts.Cancel:
-				t.Stop()
-				break arrivals
-			}
+			time.Sleep(d)
 		}
-		select {
-		case sem <- struct{}{}:
-		case <-opts.Cancel:
-			break arrivals
-		}
+		sem <- struct{}{}
 		if lag := time.Since(start) - off; lag > res.MaxLag {
-			res.MaxLag = lag // dispatcher goroutine only; no lock needed
+			res.MaxLag = lag // dispatcher only; no lock needed
 		}
 		res.Started++
-		if opts.Progress != nil {
-			opts.Progress.Started.Add(1)
-		}
-		if opts.Timeline != nil {
-			// Simulate stamps the scheduled offset (virtual time, a pure
-			// function of the plan); live runs stamp the wall clock.
-			at := off
-			if !opts.Simulate {
-				at = time.Since(start)
-			}
-			opts.Timeline.RecordStart(at)
-		}
 		wg.Add(1)
 		go func(sample int, scheduled time.Duration) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var lat time.Duration
-			var tracer *obs.Tracer
-			var err error
-			if opts.Simulate {
-				// Deterministic synthetic latency; sleeping it keeps the
-				// limiter and goroutine interleaving honest without
-				// touching the recorded value.
-				lat = simLatency(sched.Seed, sample)
-				time.Sleep(lat)
-			} else {
-				lat, tracer, err = oneHandshake(opts, sess, sample)
-			}
-			// The completion instant mirrors the start stamp: virtual
-			// (scheduled + synthetic latency) in Simulate mode, wall clock
-			// otherwise. The timeline has its own lock.
-			doneAt := scheduled + lat
-			if !opts.Simulate {
-				doneAt = time.Since(start)
-			}
+			lat, tracer, err := oneHandshake(&opts, sess, sample)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
 				res.Failed++
 				res.Errors[live.Classify(err)]++
-				if opts.Progress != nil {
-					opts.Progress.Failed.Add(1)
-				}
-				if opts.Timeline != nil {
-					opts.Timeline.RecordFailure(doneAt, live.Classify(err))
-				}
 				return
 			}
 			res.Completed++
-			if opts.Progress != nil {
-				opts.Progress.Completed.Add(1)
-			}
 			if sess != nil {
 				res.Resumed++
-			}
-			if opts.Timeline != nil {
-				opts.Timeline.RecordComplete(doneAt, lat, sess != nil, scheduled < opts.Warmup)
 			}
 			if scheduled < opts.Warmup {
 				res.Warmup++
@@ -421,11 +168,11 @@ arrivals:
 			if opts.Trace != nil {
 				opts.Trace.Add(tracer)
 			}
-		}(worker+i*stride, off)
+		}(i, off)
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)
-	return res
+	return res, nil
 }
 
 // oneHandshake dials and completes a single handshake, timing the span from

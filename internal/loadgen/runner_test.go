@@ -117,47 +117,37 @@ func TestRunResumed(t *testing.T) {
 	}
 }
 
-// TestSimulateTimelineDeterministic pins the timeline's determinism claim:
-// in Simulate mode events are stamped with virtual offsets, so the same
-// schedule produces byte-identical timelines — and Result digests — whether
-// it runs on one dispatcher or split across several.
-func TestSimulateTimelineDeterministic(t *testing.T) {
-	sched := NewSchedule(11, DistExponential, 400, 500*time.Millisecond)
-	run := func(workers int) *Result {
-		res, err := RunWorkers(Options{
-			Schedule: sched, Simulate: true,
-			Warmup:         50 * time.Millisecond,
-			WindowInterval: 100 * time.Millisecond,
-		}, workers)
-		if err != nil {
-			t.Fatalf("simulate run (%d workers): %v", workers, err)
-		}
-		if res.Timeline == nil {
-			t.Fatalf("no timeline despite WindowInterval (%d workers)", workers)
-		}
-		return res
+// TestRunSaturatedPoolWaits pins the limiter path: with one slot and
+// arrivals denser than one handshake can serve, every arrival still starts
+// and completes — saturated arrivals wait, they are not shed — and the
+// wait shows up as start lag.
+func TestRunSaturatedPoolWaits(t *testing.T) {
+	srv, cfg := startLive(t, false)
+	sched := NewSchedule(5, DistUniform, 2000, 50*time.Millisecond)
+	res, err := Run(Options{
+		Addr: srv.Addr().String(), Config: cfg, Schedule: sched, MaxConcurrent: 1,
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	base := run(1)
-	tot := base.Timeline.Totals()
-	if tot.Started != base.Started || tot.Completed != base.Completed || tot.Failed != base.Failed {
-		t.Errorf("timeline totals %d/%d/%d disagree with result %d/%d/%d",
-			tot.Started, tot.Completed, tot.Failed, base.Started, base.Completed, base.Failed)
+	if err := srv.Shutdown(10 * time.Second); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
-	if tot.Warmup != base.Warmup || tot.Resumed != base.Resumed {
-		t.Errorf("timeline warmup/resumed %d/%d, result %d/%d",
-			tot.Warmup, tot.Resumed, base.Warmup, base.Resumed)
+	if res.Failed != 0 {
+		t.Fatalf("failures on loopback: %v", res.Errors)
 	}
-	if tot.Hist.Count() != base.Hist.Count() {
-		t.Errorf("timeline histogram holds %d samples, result %d", tot.Hist.Count(), base.Hist.Count())
+	if res.Started != res.Offered || res.Completed != res.Offered {
+		t.Errorf("offered %d, started %d, completed %d; want all equal", res.Offered, res.Started, res.Completed)
 	}
-	for _, workers := range []int{2, 7} {
-		split := run(workers)
-		if got, want := split.Timeline.Digest(), base.Timeline.Digest(); got != want {
-			t.Errorf("%d-worker timeline digest %s, 1-worker %s", workers, got, want)
-		}
-		if got, want := split.Digest(), base.Digest(); got != want {
-			t.Errorf("%d-worker result digest %s, 1-worker %s", workers, got, want)
-		}
+	if res.MaxLag <= 0 {
+		t.Errorf("max lag %v with one slot under a dense schedule, want > 0", res.MaxLag)
+	}
+	// One slot serializes the handshakes, so their latencies fit in the run.
+	if res.Hist.Sum() > res.Elapsed {
+		t.Errorf("latencies sum to %v in a %v run: handshakes overlapped", res.Hist.Sum(), res.Elapsed)
+	}
+	if c := srv.Counters(); c.Completed != res.Completed {
+		t.Errorf("server completed %d, client completed %d", c.Completed, res.Completed)
 	}
 }
 

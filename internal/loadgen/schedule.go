@@ -89,37 +89,6 @@ func NewSchedule(seed int64, dist Dist, rate float64, span time.Duration) *Sched
 	}
 }
 
-// Split partitions the plan round-robin into n sub-schedules, preserving
-// absolute offsets: part i takes offsets i, i+n, i+2n, … of the original,
-// each still measured from the shared run start. The parts are disjoint,
-// cover the plan exactly, and stay sorted (the source offsets are
-// monotone), so n dispatchers pacing the parts against one clock reproduce
-// the unsplit arrival process. The partition is a pure function of the
-// schedule and n — same seed and worker count, same parts, same digests.
-//
-// n must be in [1, len(Offsets)]: a non-positive count has no meaning, and
-// more parts than arrivals would mint empty shards a distributed
-// coordinator would then assign as no-op work. Both edges are explicit
-// errors, never a panic or a silent clamp — the caller decides how to
-// shrink its worker count.
-func (s *Schedule) Split(n int) ([]*Schedule, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("loadgen: Split(%d): part count must be positive", n)
-	}
-	if n > len(s.Offsets) {
-		return nil, fmt.Errorf("loadgen: Split(%d): schedule has only %d arrivals", n, len(s.Offsets))
-	}
-	parts := make([]*Schedule, n)
-	for i := range parts {
-		parts[i] = &Schedule{Dist: s.Dist, Rate: s.Rate / float64(n), Seed: s.Seed}
-	}
-	for i, off := range s.Offsets {
-		p := parts[i%n]
-		p.Offsets = append(p.Offsets, off)
-	}
-	return parts, nil
-}
-
 // Digest is a short hex fingerprint of the exact arrival offsets. Two runs
 // printing the same digest offered the identical load plan — the
 // reproducibility check `make live-smoke` asserts.

@@ -88,130 +88,3 @@ func TestParseDist(t *testing.T) {
 		t.Error("ParseDist accepted an unknown distribution")
 	}
 }
-
-// TestScheduleSplit pins the sharded-dispatch contract: Split partitions
-// the plan round-robin with absolute offsets preserved, covers it exactly,
-// and is deterministic — same seed and worker count, same parts, same
-// digests. The dist coordinator's digest-exact merge rests on this.
-func TestScheduleSplit(t *testing.T) {
-	s := NewSchedule(7, DistExponential, 300, 2*time.Second)
-	const n = 3
-	parts, err := s.Split(n)
-	if err != nil {
-		t.Fatalf("Split(%d): %v", n, err)
-	}
-	if len(parts) != n {
-		t.Fatalf("Split(%d) returned %d parts", n, len(parts))
-	}
-	// Interleaving the parts back must reconstruct the original exactly.
-	total := 0
-	for _, p := range parts {
-		total += len(p.Offsets)
-	}
-	if total != len(s.Offsets) {
-		t.Fatalf("parts cover %d offsets, schedule has %d", total, len(s.Offsets))
-	}
-	for i, off := range s.Offsets {
-		p := parts[i%n]
-		if got := p.Offsets[i/n]; got != off {
-			t.Fatalf("offset %d: part %d[%d] = %v, want %v", i, i%n, i/n, got, off)
-		}
-	}
-	// Each part stays monotone (the dispatcher sleeps to each offset in turn).
-	for w, p := range parts {
-		for i := 1; i < len(p.Offsets); i++ {
-			if p.Offsets[i] < p.Offsets[i-1] {
-				t.Fatalf("part %d not monotone at %d", w, i)
-			}
-		}
-	}
-	// Determinism across independent builds of the same plan.
-	again, err := NewSchedule(7, DistExponential, 300, 2*time.Second).Split(n)
-	if err != nil {
-		t.Fatalf("second Split(%d): %v", n, err)
-	}
-	for w := range parts {
-		if parts[w].Digest() != again[w].Digest() {
-			t.Fatalf("part %d digest differs across identical splits", w)
-		}
-	}
-}
-
-// TestScheduleSplitEdges pins the guard contract: non-positive part counts
-// and counts beyond the plan size are explicit errors — never a panic, a
-// clamp, or a batch of empty shards a coordinator would assign as no-ops.
-func TestScheduleSplitEdges(t *testing.T) {
-	s := NewSchedule(7, DistExponential, 300, 2*time.Second)
-	for _, n := range []int{0, -1, -100} {
-		parts, err := s.Split(n)
-		if err == nil {
-			t.Errorf("Split(%d) = %d parts, want error", n, len(parts))
-		}
-	}
-	for _, n := range []int{len(s.Offsets) + 1, len(s.Offsets) * 2} {
-		parts, err := s.Split(n)
-		if err == nil {
-			t.Errorf("Split(%d) with %d arrivals = %d parts, want error", n, len(s.Offsets), len(parts))
-		}
-	}
-	// The boundary itself is legal: one arrival per part, no empties.
-	parts, err := s.Split(len(s.Offsets))
-	if err != nil {
-		t.Fatalf("Split(len) errored: %v", err)
-	}
-	for w, p := range parts {
-		if len(p.Offsets) != 1 {
-			t.Fatalf("part %d has %d offsets, want exactly 1", w, len(p.Offsets))
-		}
-	}
-	// An empty schedule cannot be split at all.
-	if _, err := (&Schedule{}).Split(1); err == nil {
-		t.Error("Split(1) on an empty schedule should error")
-	}
-}
-
-// TestResultMerge checks that merging split results reproduces the unsplit
-// aggregation: counters sum, error classes union, extrema take the max,
-// and the log-bucketed histogram merges bucket-exactly.
-func TestResultMerge(t *testing.T) {
-	lat := []time.Duration{time.Millisecond, 2 * time.Millisecond, 40 * time.Millisecond, 41 * time.Millisecond}
-	whole := &Result{Errors: map[string]uint64{}}
-	a := &Result{Errors: map[string]uint64{"dial": 1}, Offered: 2, Started: 2, Completed: 2,
-		MaxLag: 3 * time.Millisecond, Elapsed: time.Second}
-	b := &Result{Errors: map[string]uint64{"dial": 2, "timeout": 1}, Offered: 2, Started: 2,
-		Completed: 1, Failed: 1, Resumed: 1, Warmup: 1,
-		MaxLag: 5 * time.Millisecond, Elapsed: 2 * time.Second}
-	for i, d := range lat {
-		whole.Hist.Record(d)
-		if i%2 == 0 {
-			a.Hist.Record(d)
-		} else {
-			b.Hist.Record(d)
-		}
-	}
-	a.Merge(b)
-	if a.Offered != 4 || a.Started != 4 || a.Completed != 3 || a.Failed != 1 ||
-		a.Resumed != 1 || a.Warmup != 1 {
-		t.Fatalf("merged counters wrong: %+v", a)
-	}
-	if a.Errors["dial"] != 3 || a.Errors["timeout"] != 1 {
-		t.Fatalf("merged error classes wrong: %v", a.Errors)
-	}
-	if a.MaxLag != 5*time.Millisecond || a.Elapsed != 2*time.Second {
-		t.Fatalf("merged extrema wrong: lag %v elapsed %v", a.MaxLag, a.Elapsed)
-	}
-	if a.Hist.Count() != whole.Hist.Count() {
-		t.Fatalf("merged histogram count %d, want %d", a.Hist.Count(), whole.Hist.Count())
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if got, want := a.Hist.Quantile(q), whole.Hist.Quantile(q); got != want {
-			t.Fatalf("merged q%.2f = %v, unsplit = %v", q, got, want)
-		}
-	}
-	// Merging a nil result is a no-op.
-	before := a.Hist.Count()
-	a.Merge(nil)
-	if a.Hist.Count() != before {
-		t.Fatal("Merge(nil) changed the result")
-	}
-}

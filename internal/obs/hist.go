@@ -10,8 +10,6 @@ import (
 // a constant ~4% relative error from 1 µs up past an hour in a few hundred
 // counters. Per-worker histograms record without locks and merge into the
 // run total, so the hot path of a client pool never contends on stats.
-// (Moved here from internal/loadgen so the metrics registry can expose the
-// same histogram; loadgen aliases the type.)
 type Histogram struct {
 	counts [histBuckets]uint64
 	n      uint64

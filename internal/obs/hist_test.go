@@ -1,4 +1,4 @@
-package loadgen
+package obs
 
 import (
 	"testing"

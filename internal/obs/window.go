@@ -1,78 +1,30 @@
 package obs
 
 import (
-	"crypto/sha256"
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
 
-// Window is one fixed-interval slice of a run: the counter deltas and the
-// latency histogram of everything that happened in
-// [Index·interval, (Index+1)·interval). Counters mirror loadgen.Result's
-// partitioning exactly — Completed includes warmup completions, Warmup
-// counts the subset discarded from the histogram, Resumed counts PSK
-// resumptions among all completions — so summing a timeline's windows
-// reproduces the run's end-of-run counters.
+// Window is one fixed-interval slice of a run: the completions and the
+// latency histogram of everything that finished in
+// [Index·interval, (Index+1)·interval). Completed includes warmup
+// completions, Warmup counts the subset kept out of the histogram, and
+// Resumed counts PSK resumptions among all completions.
 type Window struct {
-	// Index is the absolute window number since the run's start. Merging is
-	// index-exact: window 7 of one worker folds into window 7 of another, so
-	// a run split across workers aggregates to the unsplit run's timeline.
+	// Index is the absolute window number since the run's start.
 	Index uint64
 
-	Started, Completed, Failed uint64
-	Warmup, Resumed            uint64
-
-	// Errors buckets failures by class (live.Classify on the loadgen path).
-	// nil until the window sees its first failure, keeping the success path
-	// allocation-free.
-	Errors map[string]uint64
+	Completed, Warmup, Resumed uint64
 
 	// Hist holds the window's post-warmup successful handshake latencies in
 	// the same log-bucketed histogram the run total uses.
 	Hist Histogram
 }
 
-// clone returns a deep copy (the histogram is an array value; only the
-// error map needs duplication).
-func (w *Window) clone() *Window {
-	c := *w
-	if w.Errors != nil {
-		c.Errors = make(map[string]uint64, len(w.Errors))
-		for k, v := range w.Errors {
-			c.Errors[k] = v
-		}
-	}
-	return &c
-}
-
-// merge folds o into w (indices must already match).
-func (w *Window) merge(o *Window) {
-	w.Started += o.Started
-	w.Completed += o.Completed
-	w.Failed += o.Failed
-	w.Warmup += o.Warmup
-	w.Resumed += o.Resumed
-	for class, n := range o.Errors {
-		if w.Errors == nil {
-			w.Errors = make(map[string]uint64, len(o.Errors))
-		}
-		w.Errors[class] += n
-	}
-	w.Hist.Merge(&o.Hist)
-}
-
-// Timeline accumulates Windows at a fixed interval. It is
-// clock-parameterized: callers pass each event's offset from the run's
-// start, so a modeled (Simulate) run can feed virtual offsets that are a
-// pure function of the arrival plan — making the whole timeline, and its
-// digest, byte-deterministic across hosts, worker counts, and processes —
-// while a live run feeds wall-clock offsets from one shared start instant.
-//
-// Windows are sparse: only intervals that saw an event exist, so an idle
-// tail costs nothing and memory is O(active windows), independent of event
-// count.
+// Timeline accumulates Windows at a fixed interval. Callers pass each
+// event's offset from the run's start. Windows are sparse: only intervals
+// that saw an event exist, so memory is O(active windows), independent of
+// event count.
 type Timeline struct {
 	mu       sync.Mutex
 	interval time.Duration
@@ -88,38 +40,21 @@ func NewTimeline(interval time.Duration) *Timeline {
 	return &Timeline{interval: interval, windows: make(map[uint64]*Window)}
 }
 
-// Interval returns the window interval.
-func (t *Timeline) Interval() time.Duration { return t.interval }
-
-// window returns (creating if needed) the window covering offset at.
-// Callers hold t.mu.
-func (t *Timeline) window(at time.Duration) *Window {
+// RecordComplete counts one successful handshake finishing at offset at
+// with latency lat. warmup marks completions whose scheduled arrival fell
+// inside the warmup period: they count as Completed (and Warmup) but stay
+// out of the histogram.
+func (t *Timeline) RecordComplete(at, lat time.Duration, resumed, warmup bool) {
 	if at < 0 {
 		at = 0
 	}
 	idx := uint64(at / t.interval)
+	t.mu.Lock()
 	w := t.windows[idx]
 	if w == nil {
 		w = &Window{Index: idx}
 		t.windows[idx] = w
 	}
-	return w
-}
-
-// RecordStart counts one arrival dispatched at offset at.
-func (t *Timeline) RecordStart(at time.Duration) {
-	t.mu.Lock()
-	t.window(at).Started++
-	t.mu.Unlock()
-}
-
-// RecordComplete counts one successful handshake finishing at offset at
-// with latency lat. warmup marks completions whose scheduled arrival fell
-// inside the warmup period: they count as Completed (and Warmup) but stay
-// out of the histogram, mirroring loadgen.Result.
-func (t *Timeline) RecordComplete(at, lat time.Duration, resumed, warmup bool) {
-	t.mu.Lock()
-	w := t.window(at)
 	w.Completed++
 	if resumed {
 		w.Resumed++
@@ -132,95 +67,17 @@ func (t *Timeline) RecordComplete(at, lat time.Duration, resumed, warmup bool) {
 	t.mu.Unlock()
 }
 
-// RecordFailure counts one failed handshake at offset at under the given
-// error class.
-func (t *Timeline) RecordFailure(at time.Duration, class string) {
-	t.mu.Lock()
-	w := t.window(at)
-	w.Failed++
-	if w.Errors == nil {
-		w.Errors = make(map[string]uint64)
-	}
-	w.Errors[class]++
-	t.mu.Unlock()
-}
-
-// Merge folds o into t, window-index-exact: counters add, error classes
-// add, histograms merge bucket-wise. Because every operation is commutative
-// and associative, merging N workers' timelines in any order reproduces the
-// timeline one process recording all events would have built. Timelines
-// with different intervals do not merge (their windows mean different
-// things); that is an error, never a silent mix.
-func (t *Timeline) Merge(o *Timeline) error {
-	if o == nil || o == t {
-		return nil
-	}
-	if o.interval != t.interval {
-		return fmt.Errorf("obs: timeline interval mismatch: %v vs %v", t.interval, o.interval)
-	}
-	// Snapshot o first so the two locks are never held together.
-	theirs := o.snapshot()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, ow := range theirs {
-		w := t.windows[ow.Index]
-		if w == nil {
-			t.windows[ow.Index] = ow.clone()
-			continue
-		}
-		w.merge(ow)
-	}
-	return nil
-}
-
-// snapshot returns deep copies of the windows in ascending index order.
-func (t *Timeline) snapshot() []*Window {
-	t.mu.Lock()
-	out := make([]*Window, 0, len(t.windows))
-	for _, w := range t.windows {
-		out = append(out, w.clone())
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
-}
-
-// Windows returns deep copies of the recorded windows in ascending index
-// order.
-func (t *Timeline) Windows() []Window {
-	snap := t.snapshot()
-	out := make([]Window, len(snap))
-	for i, w := range snap {
-		out[i] = *w
-	}
-	return out
-}
-
-// Clone returns an independent deep copy — the mid-run snapshot a progress
-// reporter ships while recording continues.
-func (t *Timeline) Clone() *Timeline {
-	c := NewTimeline(t.interval)
-	for _, w := range t.snapshot() {
-		c.windows[w.Index] = w
-	}
-	return c
-}
-
 // Totals sums every window into one aggregate (Index 0): the end-of-run
 // counters and full-run histogram a timeline implies.
 func (t *Timeline) Totals() Window {
 	var total Window
-	for _, w := range t.snapshot() {
-		total.merge(w)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, w := range t.windows {
+		total.Completed += w.Completed
+		total.Warmup += w.Warmup
+		total.Resumed += w.Resumed
+		total.Hist.Merge(&w.Hist)
 	}
 	return total
-}
-
-// Digest is a short hex fingerprint of the canonical binary encoding. In
-// Simulate mode every recorded value is a pure function of the arrival
-// plan, so a distributed run's merged timeline digest must equal the
-// single-process digest — the check dist-coordinator -verify asserts.
-func (t *Timeline) Digest() string {
-	sum := sha256.Sum256(t.AppendBinary(nil))
-	return fmt.Sprintf("%x", sum)[:16]
 }

@@ -1,19 +1,17 @@
 // Kernel-level benchmarks for the hot paths bench/pqperf's per-layer
-// metrics do not cover: SPHINCS+ signing, GF(2)[x] multiplication, the
-// key schedule, and timeline merging. Everything pqperf measures (Keccak,
-// Kyber, Dilithium, the sans-IO handshakes, ticket seal/open, window
-// recording) is measured there and only there; run `bash bench/run.sh`.
+// metrics do not cover: SPHINCS+ signing, GF(2)[x] multiplication and the
+// key schedule. Everything pqperf measures (Keccak, Kyber, Dilithium, the
+// sans-IO handshakes, ticket seal/open, window recording) is measured there
+// and only there; run `bash bench/run.sh`.
 package pqtls_test
 
 import (
 	"io"
 	"testing"
-	"time"
 
 	"pqtls/internal/crypto/gf2x"
 	"pqtls/internal/crypto/sha3"
 	"pqtls/internal/crypto/sphincs"
-	"pqtls/internal/obs"
 	"pqtls/internal/tls13"
 )
 
@@ -91,26 +89,4 @@ func BenchmarkKeySchedule(b *testing.B) {
 		sink ^= ks.Run(ss, transcript)
 	}
 	_ = sink
-}
-
-// BenchmarkWindowMerge measures the coordinator's per-progress-frame fold
-// of one worker timeline snapshot into the fleet rollup (32 active
-// windows). Cloning allocates by design; this pins ns/op.
-func BenchmarkWindowMerge(b *testing.B) {
-	src := obs.NewTimeline(100 * time.Millisecond)
-	for i := 0; i < 32; i++ {
-		at := time.Duration(i) * 100 * time.Millisecond
-		src.RecordStart(at)
-		src.RecordComplete(at+time.Millisecond, time.Duration(i+1)*time.Millisecond, i%2 == 0, false)
-	}
-	dst := obs.NewTimeline(100 * time.Millisecond)
-	if err := dst.Merge(src); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := dst.Merge(src); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -39,32 +39,10 @@ for pair in internal/tls13:FuzzClientHelloParse internal/tls13:FuzzServerHelloPa
 done
 
 echo "==> live smoke: loopback handshakes under -race, schedule digest reproducible"
-livedir=$(mktemp -d)
-go build -race -o "$livedir/pqbench-race" ./cmd/pqbench
-d1=$("$livedir/pqbench-race" live -kem kyber768 -sig dilithium3 -rate 50 -duration 1s |
-    tee /dev/stderr | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
-d2=$("$livedir/pqbench-race" live -kem kyber768 -sig dilithium3 -rate 50 -duration 1s |
-    sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
-if [ -z "$d1" ] || [ "$d1" != "$d2" ]; then
-    rm -rf "$livedir"
-    echo "live smoke: schedule digest not reproducible: '$d1' vs '$d2'"
-    exit 1
-fi
-
-echo "==> dist smoke: coordinator/worker under -race, merged digest equals single-process"
-"$livedir/pqbench-race" dist-coordinator -simulate -verify -workers 2 -workers-local 2 \
-    -rate 80 -duration 1s -start-delay 50ms -heartbeat-timeout 2s
-echo "==> dist smoke: kill one worker mid-run, reassignment must keep totals exact"
-"$livedir/pqbench-race" dist-coordinator -simulate -verify -workers 2 -workers-local 2 \
-    -rate 80 -duration 1s -start-delay 50ms \
-    -heartbeat-timeout 400ms -kill-worker-after 500ms
-rm -rf "$livedir"
+sh scripts/live_smoke.sh
 
 echo "==> phases smoke: span traces + Prometheus /metrics end to end"
 sh scripts/phases_smoke.sh
-
-echo "==> timeline smoke: windowed telemetry artifacts, fleet merge digest-exact"
-sh scripts/timeline_smoke.sh
 
 echo "==> determinism spot check: pqbench all-kem, workers 1 vs 8"
 tmpdir=$(mktemp -d)

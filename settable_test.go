@@ -63,7 +63,7 @@ func countFlags(f *ast.File) int {
 }
 
 // countOptionFields counts the exported fields of every exported struct type
-// named *Options, *Config or JobSpec.
+// named *Options or *Config.
 func countOptionFields(f *ast.File) int {
 	n := 0
 	ast.Inspect(f, func(node ast.Node) bool {
