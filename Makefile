@@ -52,7 +52,7 @@ fuzz-smoke:
 	done
 
 # live-smoke drives the real TLS stack over loopback sockets under the race
-# detector and checks that the seeded arrival schedule is reproducible.
+# detector, full and resumed, and checks that every handshake completes.
 live-smoke:
 	sh scripts/live_smoke.sh
 

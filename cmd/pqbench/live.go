@@ -16,22 +16,18 @@ import (
 
 // runLive is the `pqbench live` subcommand: it starts the internal/live
 // server runtime on a loopback listener, drives it with internal/loadgen's
-// open-loop schedule, and renders the measured cell next to the cost-model
+// closed-loop clients, and renders the measured cell next to the cost-model
 // prediction for the same (KA, SA, buffer-policy, resumption) grid point.
 // Unlike every other subcommand, the latencies here are real wall-clock
-// measurements of this host — only the arrival schedule is deterministic.
+// measurements of this host.
 func runLive(args []string) error {
 	fs := flag.NewFlagSet("live", flag.ExitOnError)
 	kemName := fs.String("kem", "kyber768", "key agreement (see pqbench list)")
 	sigName := fs.String("sig", "dilithium3", "certificate signature algorithm")
 	buffer := fs.String("buffer", "immediate", "server flight buffering: default|immediate")
 	resume := fs.Bool("resume", false, "measure PSK-resumed handshakes (one full handshake primes the ticket)")
-	rate := fs.Float64("rate", 200, "offered load in handshakes/second (open loop)")
-	duration := fs.Duration("duration", 2*time.Second, "schedule span")
-	warmup := fs.Duration("warmup", 0, "discard handshakes scheduled before this offset (default duration/10)")
-	dist := fs.String("dist", "exp", "inter-arrival distribution: exp|uniform")
-	seed := fs.Int64("seed", 1, "arrival-schedule seed")
-	conns := fs.Int("conns", 128, "max concurrent handshakes (client pool and server limiter)")
+	n := fs.Int("n", 400, "measured handshakes (a further tenth run first as warmup)")
+	conns := fs.Int("conns", 1, "concurrent closed-loop clients")
 	hsTimeout := fs.Duration("timeout", 10*time.Second, "per-connection handshake deadline")
 	samples := fs.Int("samples", 5, "modeled-campaign samples for the prediction column")
 	metrics := fs.String("metrics", "", "serve Prometheus /metrics + /healthz on this address for the run (e.g. 127.0.0.1:9090)")
@@ -40,13 +36,6 @@ func runLive(args []string) error {
 	policy := tls13.BufferImmediate
 	if *buffer == "default" {
 		policy = tls13.BufferDefault
-	}
-	distVal, err := loadgen.ParseDist(*dist)
-	if err != nil {
-		return err
-	}
-	if *warmup <= 0 {
-		*warmup = *duration / 10
 	}
 
 	// Server identity: same credential construction the campaigns use.
@@ -64,7 +53,6 @@ func runLive(args []string) error {
 	}
 	srv, err := live.Serve(ln, live.Options{
 		Config:           srvCfg,
-		MaxConns:         *conns,
 		HandshakeTimeout: *hsTimeout,
 		IssueTickets:     *resume,
 		MetricsAddr:      *metrics,
@@ -77,18 +65,14 @@ func runLive(args []string) error {
 		fmt.Printf("metrics: http://%s/metrics (healthz on the same listener)\n", a)
 	}
 
-	sched := loadgen.NewSchedule(*seed, distVal, *rate, *duration)
-	fmt.Printf("pqbench live: %s + %s over loopback (%s buffering, %s arrivals at %g/s, seed %d)\n",
-		*kemName, *sigName, *buffer, distVal, *rate, *seed)
-	fmt.Printf("schedule: %d arrivals over %v, digest %s (reproducible; latencies below are not)\n",
-		len(sched.Offsets), *duration, sched.Digest())
+	fmt.Printf("pqbench live: %s + %s over loopback (%s buffering, %d handshakes from %d closed-loop clients)\n",
+		*kemName, *sigName, *buffer, *n, *conns)
 
 	res, err := loadgen.Run(loadgen.Options{
 		Addr:             srv.Addr().String(),
 		Config:           &tls13.Config{KEMName: *kemName, SigName: *sigName, ServerName: "server.example", Roots: creds.Roots},
-		Schedule:         sched,
-		Warmup:           *warmup,
-		MaxConcurrent:    *conns,
+		Handshakes:       *n,
+		Conns:            *conns,
 		HandshakeTimeout: *hsTimeout,
 		Resume:           *resume,
 	})
@@ -112,7 +96,7 @@ func runLive(args []string) error {
 
 	row := harness.LiveRow{
 		KEM: *kemName, Sig: *sigName, Resumed: *resume,
-		HSRate:    res.Rate(*warmup),
+		HSRate:    res.Rate(),
 		P50:       res.Hist.Quantile(0.50),
 		P95:       res.Hist.Quantile(0.95),
 		P99:       res.Hist.Quantile(0.99),
@@ -124,8 +108,8 @@ func runLive(args []string) error {
 		return err
 	}
 
-	fmt.Printf("client: offered %d, completed %d (%d warmup discarded), failed %d, max start lag %v\n",
-		res.Offered, res.Completed, res.Warmup, res.Failed, res.MaxLag.Round(time.Microsecond))
+	fmt.Printf("client: completed %d (%d warmup discarded), failed %d\n",
+		res.Completed, res.Warmup, res.Failed)
 	if len(res.Errors) > 0 {
 		classes := make([]string, 0, len(res.Errors))
 		for c := range res.Errors {

@@ -28,12 +28,10 @@ func runPhases(args []string) error {
 	kemName := fs.String("ka", "kyber768", "key agreement (see pqbench list)")
 	sigName := fs.String("sa", "dilithium3", "certificate signature algorithm")
 	buffer := fs.String("buffer", "both", "server flight buffering: both|default|immediate")
-	samples := fs.Int("samples", 9, "traced handshakes per cell")
+	samples := fs.Int("samples", 9, "traced handshakes per cell (live mode: measured handshakes)")
 	seed := fs.Int64("seed", 1, "campaign seed")
 	resume := fs.Bool("resume", false, "trace PSK-resumed handshakes")
 	liveMode := fs.Bool("live", false, "trace real loopback handshakes instead of the modeled testbed (client side only)")
-	rate := fs.Float64("rate", 200, "live mode: offered load in handshakes/second")
-	duration := fs.Duration("duration", 2*time.Second, "live mode: schedule span")
 	outDir := fs.String("out", "results", "directory for JSONL traces and CSV aggregates")
 	fs.Parse(args)
 
@@ -49,7 +47,7 @@ func runPhases(args []string) error {
 		return fmt.Errorf("unknown -buffer %q (want both, default, or immediate)", *buffer)
 	}
 	if *liveMode {
-		return runPhasesLive(*kemName, *sigName, policies, *rate, *duration, *resume, *seed, *outDir)
+		return runPhasesLive(*kemName, *sigName, policies, *samples, *resume, *outDir)
 	}
 
 	waits := map[tls13.BufferPolicy]time.Duration{}
@@ -130,11 +128,11 @@ func sanitize(name string) string {
 
 // runPhasesLive traces real loopback handshakes: the loadgen client records
 // wall-clock spans (tls13 phases plus socket flight-waits). Only the client
-// side is visible — the server runs concurrent handshakes, so its phase
-// times go to the /metrics histogram instead of per-handshake traces. The
-// sum check does not apply: wall-clock phases overlap scheduler noise, so
-// the breakdown is informational, not an identity.
-func runPhasesLive(kemName, sigName string, policies []tls13.BufferPolicy, rate float64, duration time.Duration, resume bool, seed int64, outDir string) error {
+// side is traced; the server's phase times go to its /metrics histogram
+// instead of per-handshake traces. The sum check does not apply: wall-clock
+// phases overlap scheduler noise, so the breakdown is informational, not an
+// identity.
+func runPhasesLive(kemName, sigName string, policies []tls13.BufferPolicy, samples int, resume bool, outDir string) error {
 	for _, policy := range policies {
 		creds, err := harness.CredentialsFor(sigName, 1)
 		if err != nil {
@@ -155,14 +153,12 @@ func runPhasesLive(kemName, sigName string, policies []tls13.BufferPolicy, rate 
 			return err
 		}
 		col := &obs.Collector{}
-		sched := loadgen.NewSchedule(seed, loadgen.DistExponential, rate, duration)
 		res, err := loadgen.Run(loadgen.Options{
-			Addr:     srv.Addr().String(),
-			Config:   &tls13.Config{KEMName: kemName, SigName: sigName, ServerName: "server.example", Roots: creds.Roots},
-			Schedule: sched,
-			Warmup:   duration / 10,
-			Resume:   resume,
-			Trace:    col,
+			Addr:       srv.Addr().String(),
+			Config:     &tls13.Config{KEMName: kemName, SigName: sigName, ServerName: "server.example", Roots: creds.Roots},
+			Handshakes: samples,
+			Resume:     resume,
+			Trace:      col,
 		})
 		if shutErr := srv.Shutdown(5 * time.Second); shutErr != nil && err == nil {
 			err = shutErr

@@ -1,9 +1,10 @@
 // Command pqtls-client is the reproduction's analog of `openssl s_client`:
 // it performs PQ TLS 1.3 handshakes against cmd/pqtls-server over real TCP
-// and reports latency quantiles (repeat with -n for a quick benchmark).
-// With -resume, the first handshake is full and collects the server's
-// NewSessionTicket; every following handshake resumes from it over a fresh
-// TCP connection, exercising the shared ticket store end to end.
+// and reports ClientHello → Finished latency quantiles (repeat with -n for
+// a quick benchmark; a further tenth run first as warmup). With -resume, one
+// full handshake collects the server's NewSessionTicket and every measured
+// handshake resumes from it over a fresh TCP connection, exercising the
+// shared ticket store end to end.
 //
 //	pqtls-client -connect 127.0.0.1:8443 -kem kyber512 -sig dilithium2 -root root.cert -n 10
 package main
@@ -12,14 +13,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
-	"time"
 
 	"pqtls"
+	"pqtls/internal/loadgen"
 	"pqtls/internal/obs"
 	"pqtls/internal/pki"
-	"pqtls/internal/stats"
 )
 
 func main() {
@@ -28,7 +27,7 @@ func main() {
 	sigName := flag.String("sig", "rsa:2048", "expected certificate algorithm")
 	rootFile := flag.String("root", "root.cert", "trusted root certificate file")
 	n := flag.Int("n", 1, "number of sequential handshakes")
-	resume := flag.Bool("resume", false, "resume handshakes 2..n from the first handshake's session ticket")
+	resume := flag.Bool("resume", false, "resume every handshake from one priming handshake's session ticket")
 	trace := flag.Bool("trace", false, "record per-phase spans and print a p50/p95 phase breakdown")
 	flag.Parse()
 
@@ -40,68 +39,33 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := pqtls.Config{
-		KEMName: *kemName, SigName: *sigName, ServerName: "server.example",
-		Roots: pqtls.NewCertPool(root),
+	opts := loadgen.Options{
+		Addr: *addr,
+		Config: &pqtls.Config{
+			KEMName: *kemName, SigName: *sigName, ServerName: "server.example",
+			Roots: pqtls.NewCertPool(root),
+		},
+		Handshakes: *n,
+		Resume:     *resume,
 	}
-
-	var latencies []time.Duration
-	var session *pqtls.Session
-	col := &obs.Collector{}
-	resumed := 0
-	for i := 0; i < *n; i++ {
-		conn, err := net.Dial("tcp", *addr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg := base // fresh copy per connection
-		if *resume && session != nil {
-			cfg.Session = session
-		}
-		var tracer *obs.Tracer
-		if *trace {
-			tracer = obs.NewTracer(obs.Meta{
-				Endpoint: "client", KEM: *kemName, Sig: *sigName,
-				Sample: i, Resumed: cfg.Session != nil,
-			}, nil)
-			cfg.Hooks = tracer
-		}
-		start := time.Now()
-		cli, err := pqtls.ClientHandshake(conn, &cfg)
-		if err != nil {
-			log.Fatalf("handshake %d: %v", i, err)
-		}
-		latencies = append(latencies, time.Since(start))
-		col.Add(tracer) // nil-safe when -trace is off
-		if cfg.Session != nil {
-			resumed++
-		}
-		if *resume && session == nil {
-			// The server issues a NewSessionTicket right after every full
-			// handshake; read that flight and keep the session.
-			rec, err := pqtls.ReadRecord(conn)
-			if err != nil {
-				log.Fatalf("reading NewSessionTicket: %v", err)
-			}
-			session, err = cli.ProcessTicket([]pqtls.Record{rec})
-			if err != nil {
-				log.Fatalf("processing NewSessionTicket: %v", err)
-			}
-		}
-		conn.Close()
-		if i == 0 {
-			fmt.Printf("connected: %s certificate for %q\n",
-				cli.ServerCert.Algorithm, cli.ServerCert.Subject)
-		}
-	}
-	mn, mx := stats.MinMax(latencies)
-	qs := stats.Quantiles(latencies, 0.50, 0.95, 0.99)
-	fmt.Printf("%d handshakes (%d resumed): p50 %v, p95 %v, p99 %v, min %v, max %v\n",
-		*n, resumed, qs[0], qs[1], qs[2], mn, mx)
 	if *trace {
-		fmt.Println("phase breakdown (wall clock, tls13 state-machine spans):")
-		if err := obs.WritePhaseTable(os.Stdout, obs.AggregatePhases(col.Traces())); err != nil {
+		opts.Trace = &obs.Collector{}
+	}
+	res, err := loadgen.Run(opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	h := &res.Hist
+	fmt.Printf("%d handshakes (%d resumed, %d warmup): CH→Fin p50 %v, p95 %v, p99 %v, min %v, max %v\n",
+		res.Completed, res.Resumed, res.Warmup,
+		h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Min(), h.Max())
+	if *trace {
+		fmt.Println("phase breakdown (wall clock, tls13 state-machine spans and flight-wait):")
+		if err := obs.WritePhaseTable(os.Stdout, obs.AggregatePhases(opts.Trace.Traces())); err != nil {
 			log.Fatal(err)
 		}
+	}
+	if res.Failed > 0 {
+		log.Fatalf("%d handshakes failed, by class: %v", res.Failed, res.Errors)
 	}
 }

@@ -239,12 +239,6 @@ func RunHandshake(opts RunOptions) (*HandshakeResult, error) {
 		cliCfg.Rand = opts.Rand
 		srvCfg.Rand = opts.Rand
 	}
-	if opts.ServerProf != nil {
-		srvCfg.Hooks = opts.ServerProf
-	}
-	if opts.ClientProf != nil {
-		cliCfg.Hooks = opts.ClientProf
-	}
 	// Per-party compute clocks: under modeled timing each endpoint gets its
 	// own CostMeter and every compute span below reads meter deltas instead
 	// of the wall clock, making the whole simulation jitter-free.
@@ -263,6 +257,17 @@ func RunHandshake(opts RunOptions) (*HandshakeResult, error) {
 			return nil, fmt.Errorf("harness: obtaining session ticket: %w", err)
 		}
 		cliCfg.Session = sess
+	}
+	// Profilers, like the tracers below, see only the measured handshake,
+	// and read the same clock as the CPU totals they receive, so "libc =
+	// total − spans" subtracts like from like.
+	if opts.ServerProf != nil {
+		opts.ServerProf.SetClock(clockFor(srvMeter))
+		srvCfg.Hooks = opts.ServerProf
+	}
+	if opts.ClientProf != nil {
+		opts.ClientProf.SetClock(clockFor(cliMeter))
+		cliCfg.Hooks = opts.ClientProf
 	}
 	// Tracers are installed after the ticket-priming handshake so only the
 	// measured handshake is traced. Each endpoint's tracer reads that

@@ -56,7 +56,7 @@ func TestLoopbackFullAndResumed(t *testing.T) {
 			addr := srv.Addr().String()
 
 			// Full handshake on connection 1, collecting the ticket.
-			sess, err := loadgen.Prime(addr, cliCfg, 5*time.Second, 30*time.Second)
+			sess, err := loadgen.Prime(addr, cliCfg, 30*time.Second)
 			if err != nil {
 				t.Fatalf("full handshake: %v", err)
 			}
@@ -127,6 +127,33 @@ func TestHandshakeDeadline(t *testing.T) {
 	}
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+}
+
+// TestOversizedClientHello checks the server's ClientHello cap on a real
+// socket: a peer declaring a 16 MiB ClientHello is refused with an alert
+// after one record, and the failure is counted as a protocol error.
+func TestOversizedClientHello(t *testing.T) {
+	srv, _ := startServer(t, "x25519", "ecdsa-p256", live.Options{})
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	hello := tls13.Record{Type: tls13.RecordHandshake, Payload: []byte{1, 0xff, 0xff, 0xff, 0, 0, 0, 0}}
+	if err := tls13.WriteRecords(conn, []tls13.Record{hello}); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	rec, err := tls13.ReadRecord(conn)
+	if err != nil || rec.Type != tls13.RecordAlert || len(rec.Payload) != 2 || rec.Payload[1] != tls13.AlertIllegalParameter {
+		t.Errorf("server answered %+v (%v), want an illegal_parameter alert", rec, err)
+	}
+	if err := srv.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if got := srv.Counters().Failed[live.ClassProtocol]; got != 1 {
+		t.Errorf("protocol failures = %d, want 1", got)
 	}
 }
 
@@ -317,7 +344,7 @@ func TestStoreSharedAcrossRuntimes(t *testing.T) {
 	cliCfg := &tls13.Config{
 		KEMName: "x25519", SigName: "ecdsa-p256", ServerName: "server.example", Roots: creds.Roots,
 	}
-	sess, err := loadgen.Prime(srvA.Addr().String(), cliCfg, 5*time.Second, 30*time.Second)
+	sess, err := loadgen.Prime(srvA.Addr().String(), cliCfg, 30*time.Second)
 	if err != nil {
 		t.Fatalf("priming on A: %v", err)
 	}
@@ -399,7 +426,7 @@ func TestConcurrentSnapshots(t *testing.T) {
 		go func() {
 			defer hsWG.Done()
 			for j := 0; j < 4; j++ {
-				if _, err := loadgen.Prime(addr, cliCfg, 5*time.Second, 30*time.Second); err != nil {
+				if _, err := loadgen.Prime(addr, cliCfg, 30*time.Second); err != nil {
 					t.Errorf("handshake: %v", err)
 					return
 				}

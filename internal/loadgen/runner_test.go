@@ -11,7 +11,7 @@ import (
 )
 
 // startLive boots a live server for the classical suite (fast enough to
-// drive at a few hundred arrivals/second inside a unit test).
+// run a few dozen handshakes inside a unit test).
 func startLive(t *testing.T, issueTickets bool) (*live.Server, *tls13.Config) {
 	t.Helper()
 	creds, err := harness.CredentialsFor("ecdsa-p256", 1)
@@ -37,14 +37,12 @@ func startLive(t *testing.T, issueTickets bool) (*live.Server, *tls13.Config) {
 	}
 }
 
-// TestRunFullHandshakes drives a short open-loop run end to end and checks
-// the result's accounting invariants.
+// TestRunFullHandshakes drives a short closed-loop run end to end and
+// checks the result's accounting invariants.
 func TestRunFullHandshakes(t *testing.T) {
 	srv, cfg := startLive(t, false)
-	sched := NewSchedule(3, DistUniform, 200, 500*time.Millisecond)
-	warmup := 100 * time.Millisecond
 	res, err := Run(Options{
-		Addr: srv.Addr().String(), Config: cfg, Schedule: sched, Warmup: warmup,
+		Addr: srv.Addr().String(), Config: cfg, Handshakes: 50, Conns: 4,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -53,44 +51,36 @@ func TestRunFullHandshakes(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 
-	if res.Offered != uint64(len(sched.Offsets)) || res.Started != res.Offered {
-		t.Errorf("offered/started %d/%d, want both %d", res.Offered, res.Started, len(sched.Offsets))
-	}
 	if res.Failed != 0 {
 		t.Fatalf("failures on loopback: %v", res.Errors)
 	}
-	if res.Completed != res.Started {
-		t.Errorf("completed %d, want %d", res.Completed, res.Started)
+	if res.Completed != 50 || res.Warmup != 5 {
+		t.Errorf("completed %d + warmup %d, want 50 + 5", res.Completed, res.Warmup)
+	}
+	if res.Hist.Count() != res.Completed {
+		t.Errorf("histogram holds %d, want completed %d", res.Hist.Count(), res.Completed)
 	}
 	if res.Resumed != 0 {
 		t.Errorf("resumed %d without -resume", res.Resumed)
 	}
-	if got := res.Hist.Count() + res.Warmup; got != res.Completed {
-		t.Errorf("histogram (%d) + warmup (%d) = %d, want completed %d",
-			res.Hist.Count(), res.Warmup, got, res.Completed)
-	}
-	if res.Warmup == 0 {
-		t.Error("no handshakes were discarded as warmup despite a warmup window")
-	}
-	if res.Rate(warmup) <= 0 {
+	if res.Rate() <= 0 {
 		t.Error("rate should be positive")
 	}
 	p50, p99 := res.Hist.Quantile(0.50), res.Hist.Quantile(0.99)
 	if p50 <= 0 || p99 < p50 {
 		t.Errorf("quantiles not sane: p50 %v p99 %v", p50, p99)
 	}
-	if c := srv.Counters(); c.Completed != res.Completed {
-		t.Errorf("server completed %d, client completed %d", c.Completed, res.Completed)
+	if c := srv.Counters(); c.Completed != res.Completed+res.Warmup {
+		t.Errorf("server completed %d, client completed %d + warmup %d", c.Completed, res.Completed, res.Warmup)
 	}
 }
 
 // TestRunResumed checks the Resume path: one priming handshake, then every
-// scheduled handshake redeems a ticket from the shared store.
+// handshake redeems a ticket from the shared store.
 func TestRunResumed(t *testing.T) {
 	srv, cfg := startLive(t, true)
-	sched := NewSchedule(4, DistExponential, 100, 300*time.Millisecond)
 	res, err := Run(Options{
-		Addr: srv.Addr().String(), Config: cfg, Schedule: sched, Resume: true,
+		Addr: srv.Addr().String(), Config: cfg, Handshakes: 30, Conns: 2, Resume: true,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -101,31 +91,29 @@ func TestRunResumed(t *testing.T) {
 	if res.Failed != 0 {
 		t.Fatalf("failures on loopback: %v", res.Errors)
 	}
-	if res.Resumed != res.Completed {
-		t.Errorf("resumed %d of %d completions, want all", res.Resumed, res.Completed)
+	if res.Completed != 30 || res.Resumed != res.Completed {
+		t.Errorf("resumed %d of %d completions, want all of 30", res.Resumed, res.Completed)
 	}
+	all := res.Completed + res.Warmup
 	c := srv.Counters()
-	if c.Completed != res.Completed+1 { // +1 for the priming handshake
-		t.Errorf("server completed %d, want %d", c.Completed, res.Completed+1)
+	if c.Completed != all+1 { // +1 for the priming handshake
+		t.Errorf("server completed %d, want %d", c.Completed, all+1)
 	}
-	if c.Resumed != res.Completed {
-		t.Errorf("server resumed %d, want %d", c.Resumed, res.Completed)
+	if c.Resumed != all {
+		t.Errorf("server resumed %d, want %d", c.Resumed, all)
 	}
 	ts := srv.TicketStats()
-	if ts.Issued != 1 || ts.Redeemed != res.Completed || ts.Rejected != 0 {
-		t.Errorf("ticket stats %+v, want 1 issued, %d redeemed, 0 rejected", ts, res.Completed)
+	if ts.Issued != 1 || ts.Redeemed != all || ts.Rejected != 0 {
+		t.Errorf("ticket stats %+v, want 1 issued, %d redeemed, 0 rejected", ts, all)
 	}
 }
 
-// TestRunSaturatedPoolWaits pins the limiter path: with one slot and
-// arrivals denser than one handshake can serve, every arrival still starts
-// and completes — saturated arrivals wait, they are not shed — and the
-// wait shows up as start lag.
-func TestRunSaturatedPoolWaits(t *testing.T) {
+// TestRunOneConnSerializes pins the closed loop: one client runs its
+// handshakes back to back, so their latencies fit inside the run.
+func TestRunOneConnSerializes(t *testing.T) {
 	srv, cfg := startLive(t, false)
-	sched := NewSchedule(5, DistUniform, 2000, 50*time.Millisecond)
 	res, err := Run(Options{
-		Addr: srv.Addr().String(), Config: cfg, Schedule: sched, MaxConcurrent: 1,
+		Addr: srv.Addr().String(), Config: cfg, Handshakes: 20, Conns: 1,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -136,35 +124,27 @@ func TestRunSaturatedPoolWaits(t *testing.T) {
 	if res.Failed != 0 {
 		t.Fatalf("failures on loopback: %v", res.Errors)
 	}
-	if res.Started != res.Offered || res.Completed != res.Offered {
-		t.Errorf("offered %d, started %d, completed %d; want all equal", res.Offered, res.Started, res.Completed)
-	}
-	if res.MaxLag <= 0 {
-		t.Errorf("max lag %v with one slot under a dense schedule, want > 0", res.MaxLag)
-	}
-	// One slot serializes the handshakes, so their latencies fit in the run.
 	if res.Hist.Sum() > res.Elapsed {
 		t.Errorf("latencies sum to %v in a %v run: handshakes overlapped", res.Hist.Sum(), res.Elapsed)
 	}
-	if c := srv.Counters(); c.Completed != res.Completed {
-		t.Errorf("server completed %d, client completed %d", c.Completed, res.Completed)
+	if c := srv.Counters(); c.Completed != res.Completed+res.Warmup {
+		t.Errorf("server completed %d, client completed %d + warmup %d", c.Completed, res.Completed, res.Warmup)
 	}
 }
 
 // TestRunRejectsBadOptions covers the setup-error paths.
 func TestRunRejectsBadOptions(t *testing.T) {
 	if _, err := Run(Options{Config: &tls13.Config{}}); err == nil {
-		t.Error("empty schedule accepted")
+		t.Error("zero handshakes accepted")
 	}
-	sched := NewSchedule(1, DistUniform, 100, 100*time.Millisecond)
-	if _, err := Run(Options{Schedule: sched}); err == nil {
+	if _, err := Run(Options{Handshakes: 10}); err == nil {
 		t.Error("nil config accepted")
 	}
 	// An unreachable address with Resume fails at priming, before any load.
 	cfg := &tls13.Config{KEMName: "x25519", SigName: "ecdsa-p256", ServerName: "x"}
 	if _, err := Run(Options{
-		Addr: "127.0.0.1:1", Config: cfg, Schedule: sched, Resume: true,
-		DialTimeout: 200 * time.Millisecond,
+		Addr: "127.0.0.1:1", Config: cfg, Handshakes: 10, Resume: true,
+		HandshakeTimeout: 200 * time.Millisecond,
 	}); err == nil {
 		t.Error("unreachable priming target accepted")
 	}

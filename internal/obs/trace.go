@@ -127,9 +127,9 @@ func (t *Tracer) Charge(op, alg string) {
 	s.Alg += alg
 }
 
-// Add records an externally timed top-level phase span — the harness and
-// loadgen drivers use it for flight-wait, which the sans-IO state machines
-// never see. Offsets are relative to the trace origin.
+// Add records an externally timed top-level phase span — the harness drive
+// loop uses it for flight-wait, which the sans-IO state machines never see.
+// Offsets are relative to the trace origin.
 func (t *Tracer) Add(name string, start, end time.Duration) {
 	t.spans = append(t.spans, &Span{
 		Kind:   "phase",

@@ -32,19 +32,25 @@ type Profiler struct {
 	spans map[string]time.Duration
 	total time.Duration
 	open  int
+	now   func() time.Time
 }
 
-// NewProfiler returns an empty profiler.
+// NewProfiler returns an empty profiler whose spans read the wall clock.
 func NewProfiler() *Profiler {
-	return &Profiler{spans: map[string]time.Duration{}}
+	return &Profiler{spans: map[string]time.Duration{}, now: time.Now}
 }
+
+// SetClock makes spans read now instead of the wall clock. Pass the clock
+// whose readings AddTotal receives — an endpoint's virtual meter under
+// modeled timing — so spans and total are in one unit.
+func (p *Profiler) SetClock(now func() time.Time) { p.now = now }
 
 // Span opens a region attributed to lib; call the returned func to close
 // it. Closing is idempotent — error paths in the handshake state machines
 // can run closers out of LIFO order or twice, which previously corrupted
 // the open-region count. Part of the tls13.Hooks implementation.
 func (p *Profiler) Span(lib string) func() {
-	start := time.Now()
+	start := p.now()
 	p.open++
 	closed := false
 	return func() {
@@ -53,7 +59,7 @@ func (p *Profiler) Span(lib string) func() {
 		}
 		closed = true
 		p.open--
-		p.spans[lib] += time.Since(start)
+		p.spans[lib] += p.now().Sub(start)
 	}
 }
 
@@ -76,8 +82,9 @@ func (p *Profiler) Attribute(lib string, d time.Duration) {
 	p.spans[lib] += d
 }
 
-// AddTotal records wall time of a whole endpoint step; the part not covered
-// by spans is attributed to libc (memory management, formatting, misc).
+// AddTotal records the CPU time of a whole endpoint step, on the profiler's
+// clock; the part not covered by spans is attributed to libc (memory
+// management, formatting, misc).
 func (p *Profiler) AddTotal(d time.Duration) {
 	p.total += d
 }

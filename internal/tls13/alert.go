@@ -1,6 +1,7 @@
 package tls13
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -10,6 +11,7 @@ const (
 	AlertCloseNotify       uint8 = 0
 	AlertUnexpectedMessage uint8 = 10
 	AlertBadRecordMAC      uint8 = 20
+	AlertRecordOverflow    uint8 = 22
 	AlertHandshakeFailure  uint8 = 40
 	AlertBadCertificate    uint8 = 42
 	AlertUnknownCA         uint8 = 48
@@ -24,6 +26,7 @@ var alertNames = map[uint8]string{
 	AlertCloseNotify:       "close_notify",
 	AlertUnexpectedMessage: "unexpected_message",
 	AlertBadRecordMAC:      "bad_record_mac",
+	AlertRecordOverflow:    "record_overflow",
 	AlertHandshakeFailure:  "handshake_failure",
 	AlertBadCertificate:    "bad_certificate",
 	AlertUnknownCA:         "unknown_ca",
@@ -70,6 +73,10 @@ func alertFor(err error) uint8 {
 	}
 	msg := err.Error()
 	switch {
+	case errors.Is(err, errRecordOverflow):
+		return AlertRecordOverflow
+	case errors.Is(err, errHelloTooLarge):
+		return AlertIllegalParameter
 	case contains(msg, "certificate"):
 		return AlertBadCertificate
 	case contains(msg, "decryption failed"), contains(msg, "Finished verification"):

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"pqtls/internal/kem"
 	"pqtls/internal/pki"
@@ -39,6 +40,7 @@ type Client struct {
 	retryGroup uint16
 	resuming   bool
 	done       bool
+	helloSent  time.Time // set by ClientHandshake
 
 	// ServerCert is the verified leaf certificate after completion.
 	ServerCert *pki.Certificate

@@ -72,10 +72,10 @@ const (
 	PhaseTicketIssue   = "ticket-issue"
 	PhaseTicketRedeem  = "ticket-redeem"
 	PhaseTicketProcess = "ticket-process"
-	// PhaseFlightWait is emitted by handshake drivers (harness drive loop,
-	// loadgen's blocking reads) for time the client spends idle waiting for
-	// the server's next flush — the observable the buffering-policy analysis
-	// (Section 5.2) turns on.
+	// PhaseFlightWait is emitted by handshake drivers (the harness drive
+	// loop, ClientHandshake around each blocking read) for time the client
+	// spends idle waiting for the server's next flush — the observable the
+	// buffering-policy analysis (Section 5.2) turns on.
 	PhaseFlightWait = "flight-wait"
 )
 

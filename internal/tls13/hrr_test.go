@@ -127,27 +127,37 @@ func TestHRRUnofferedGroupRejected(t *testing.T) {
 	}
 }
 
-// The full 2-RTT fallback must also work over a real byte stream.
+// The full 2-RTT fallback must also work over a real byte stream. Under
+// BufferDefault the post-HRR response is one flush, like the HRR itself, so
+// the server driver must not mistake it for a second retry.
 func TestHRROverPipe(t *testing.T) {
 	t.Parallel()
-	cliCfg, srvCfg := testConfigs(t, "kyber512", "dilithium2", BufferImmediate)
-	cliCfg.KEMName = "x25519"
-	cliCfg.SupportedKEMs = []string{"kyber512"}
-	cConn, sConn := net.Pipe()
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := ServerHandshake(sConn, srvCfg)
-		errCh <- err
-	}()
-	cli, err := ClientHandshake(cConn, cliCfg)
-	if err != nil {
-		t.Fatalf("client: %v", err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	if !cli.Done() {
-		t.Error("client not done after HRR over pipe")
+	for _, tc := range []struct {
+		sig    string
+		buffer BufferPolicy
+	}{
+		{"dilithium2", BufferImmediate},
+		{"ed25519", BufferDefault},
+	} {
+		cliCfg, srvCfg := testConfigs(t, "kyber512", tc.sig, tc.buffer)
+		cliCfg.KEMName = "x25519"
+		cliCfg.SupportedKEMs = []string{"kyber512"}
+		cConn, sConn := net.Pipe()
+		errCh := make(chan error, 1)
+		go func() {
+			_, err := ServerHandshake(sConn, srvCfg)
+			errCh <- err
+		}()
+		cli, err := ClientHandshake(cConn, cliCfg)
+		if err != nil {
+			t.Fatalf("%s: client: %v", tc.sig, err)
+		}
+		if err := <-errCh; err != nil {
+			t.Fatalf("%s: server: %v", tc.sig, err)
+		}
+		if !cli.Done() {
+			t.Errorf("%s: client not done after HRR over pipe", tc.sig)
+		}
 	}
 }
 

@@ -38,7 +38,7 @@ for pair in internal/tls13:FuzzClientHelloParse internal/tls13:FuzzServerHelloPa
     go test "./${pair%%:*}" -run '^$' -fuzz "${pair#*:}" -fuzztime "${FUZZTIME:-5s}"
 done
 
-echo "==> live smoke: loopback handshakes under -race, schedule digest reproducible"
+echo "==> live smoke: closed-loop loopback handshakes under -race, none failed"
 sh scripts/live_smoke.sh
 
 echo "==> phases smoke: span traces + Prometheus /metrics end to end"

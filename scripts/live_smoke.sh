@@ -1,8 +1,8 @@
 #!/bin/sh
 # Live smoke: the real TLS stack over loopback sockets under the race
-# detector. A short `pqbench live` run for the headline PQ suite, twice, and
-# a check that the seeded arrival schedule (the deterministic half of the
-# subsystem; measured latencies are not) produces the same digest both times.
+# detector. A short closed-loop `pqbench live` run for the headline PQ suite
+# from four concurrent clients, full and resumed; every handshake must
+# complete.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -11,12 +11,13 @@ tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
 go build -race -o "$tmpdir/pqbench-race" ./cmd/pqbench
-d1=$("$tmpdir/pqbench-race" live -kem kyber768 -sig dilithium3 -rate 50 -duration 1s |
-    tee /dev/stderr | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
-d2=$("$tmpdir/pqbench-race" live -kem kyber768 -sig dilithium3 -rate 50 -duration 1s |
-    sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
-if [ -z "$d1" ] || [ "$d1" != "$d2" ]; then
-    echo "live smoke: schedule digest not reproducible: '$d1' vs '$d2'"
-    exit 1
-fi
-echo "live-smoke OK: schedule digest $d1 reproducible across runs"
+for mode in "" "-resume"; do
+    # $mode is deliberately unquoted: empty means no flag.
+    "$tmpdir/pqbench-race" live -kem kyber768 -sig dilithium3 -n 40 -conns 4 $mode |
+        tee "$tmpdir/out.txt"
+    if ! grep -q '^client: completed 40 .* failed 0$' "$tmpdir/out.txt"; then
+        echo "live smoke: ${mode:-full} run did not complete 40 handshakes without failure"
+        exit 1
+    fi
+done
+echo "live-smoke OK: 40 full and 40 resumed handshakes, none failed"

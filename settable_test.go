@@ -74,7 +74,7 @@ func countOptionFields(f *ast.File) int {
 		st, ok := ts.Type.(*ast.StructType)
 		name := ts.Name.Name
 		if !ok || !ts.Name.IsExported() ||
-			!(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config") || name == "JobSpec") {
+			!(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
 			return true
 		}
 		for _, field := range st.Fields.List {
