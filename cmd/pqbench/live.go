@@ -33,9 +33,10 @@ func runLive(args []string) error {
 	metrics := fs.String("metrics", "", "serve Prometheus /metrics + /healthz on this address for the run (e.g. 127.0.0.1:9090)")
 	fs.Parse(args)
 
-	policy := tls13.BufferImmediate
-	if *buffer == "default" {
-		policy = tls13.BufferDefault
+	policy, err := tls13.ParseBufferPolicy(*buffer)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pqbench:", err)
+		os.Exit(2)
 	}
 
 	// Server identity: same credential construction the campaigns use.
@@ -88,7 +89,6 @@ func runLive(args []string) error {
 	campaign, err := harness.RunCampaign(harness.CampaignOptions{
 		KEM: *kemName, Sig: *sigName, Link: harness.ScenarioTestbed,
 		Buffer: policy, Samples: *samples, Resume: *resume,
-		Timing: harness.TimingModel,
 	})
 	if err != nil {
 		return err

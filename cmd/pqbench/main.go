@@ -13,9 +13,8 @@
 //	pqbench list                     registered suites
 //
 // Every campaign subcommand accepts -workers N to fan samples across a
-// worker pool (default: GOMAXPROCS; -workers 1 runs sequentially) and
-// -timing model|real to pick between the deterministic virtual compute
-// clock and measured wall time (real timing forces a single worker).
+// worker pool (default: GOMAXPROCS; -workers 1 runs sequentially); the
+// output is the same at any worker count.
 package main
 
 import (
@@ -32,7 +31,6 @@ import (
 	"pqtls/internal/kem"
 	"pqtls/internal/netsim"
 	"pqtls/internal/nettap"
-	"pqtls/internal/perf"
 	"pqtls/internal/sig"
 	"pqtls/internal/tls13"
 )
@@ -46,7 +44,7 @@ type subcommand struct {
 	own  func(args []string) error
 	help string
 	// run executes a subcommand under the shared campaign flags (-samples,
-	// -buffer, -workers, -timing, -csv); args is what follows them.
+	// -buffer, -workers, -csv); args is what follows them.
 	run func(cfg harness.SweepConfig, args []string) error
 }
 
@@ -60,7 +58,7 @@ var subcommands = []subcommand{
 	{name: "all-sig", run: sweep(runTable2b)},
 	{name: "deviation", run: sweep(runDeviation)},
 	{name: "improvement", run: sweep(runImprovement)},
-	{name: "whitebox", run: sweep(runWhitebox)},
+	{name: "whitebox", run: sweep(func(cfg harness.SweepConfig) error { return runWhitebox(os.Stdout, cfg) })},
 	{name: "all-kem-scenarios", run: func(cfg harness.SweepConfig, _ []string) error { return runScenarios(cfg, true) }},
 	{name: "all-sig-scenarios", run: func(cfg harness.SweepConfig, _ []string) error { return runScenarios(cfg, false) }},
 	{name: "rank", run: sweep(runRank)},
@@ -110,37 +108,27 @@ func main() {
 	samples := fs.Int("samples", 9, "handshakes per suite")
 	buffer := fs.String("buffer", "immediate", "server buffering: default|immediate")
 	workers := fs.Int("workers", 0, "parallel campaign workers (0 = GOMAXPROCS, 1 = sequential)")
-	timing := fs.String("timing", "model", "compute timing: model (deterministic) | real (measured, single worker)")
 	csvPath := fs.String("csv", "", "also write results as CSV (latencies.csv layout) to this file")
 	fs.Parse(os.Args[2:])
 	csvFile = *csvPath
 
-	policy := tls13.BufferImmediate
-	if *buffer == "default" {
-		policy = tls13.BufferDefault
-	}
-	cfg := harness.SweepConfig{Samples: *samples, Buffer: policy, Workers: *workers}
-	switch *timing {
-	case "model":
-		cfg.Timing = harness.TimingModel
-	case "real":
-		cfg.Timing = harness.TimingReal
-	default:
-		fmt.Fprintf(os.Stderr, "pqbench: unknown -timing %q (want model or real)\n", *timing)
+	policy, err := tls13.ParseBufferPolicy(*buffer)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pqbench:", err)
 		os.Exit(2)
 	}
+	cfg := harness.SweepConfig{Samples: *samples, Buffer: policy, Workers: *workers}
 
 	start := time.Now()
-	err := sc.run(cfg, fs.Args())
-	if err != nil {
+	if err := sc.run(cfg, fs.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "pqbench:", err)
 		os.Exit(1)
 	}
 	if isCampaign(cmd) {
 		// Wall clock goes to stderr so stdout stays byte-identical across
 		// worker counts (compare runs to see the parallel speedup).
-		fmt.Fprintf(os.Stderr, "pqbench: %s finished in %s (workers=%d, timing=%s)\n",
-			cmd, time.Since(start).Round(time.Millisecond), effectiveWorkers(cfg), *timing)
+		fmt.Fprintf(os.Stderr, "pqbench: %s finished in %s (workers=%d)\n",
+			cmd, time.Since(start).Round(time.Millisecond), effectiveWorkers(cfg))
 	}
 }
 
@@ -156,9 +144,6 @@ func isCampaign(cmd string) bool {
 
 // effectiveWorkers resolves the worker count the campaigns actually used.
 func effectiveWorkers(cfg harness.SweepConfig) int {
-	if cfg.Timing == harness.TimingReal {
-		return 1
-	}
 	if cfg.Workers > 0 {
 		return cfg.Workers
 	}
@@ -195,7 +180,7 @@ func usage() {
 			fmt.Fprintf(&own, "%-17s %s\n", sc.name+":", sc.help)
 		}
 	}
-	fmt.Fprintf(os.Stderr, `usage: pqbench <command> [-samples N] [-buffer default|immediate] [-workers N] [-timing model|real]
+	fmt.Fprintf(os.Stderr, `usage: pqbench <command> [-samples N] [-buffer default|immediate] [-workers N]
 
 commands: %s
 
@@ -267,26 +252,30 @@ func runImprovement(cfg harness.SweepConfig) error {
 	return w.Flush()
 }
 
-func runWhitebox(cfg harness.SweepConfig) error {
+// runWhitebox prints Table 3 to out. The library split is computed from
+// each row by harness.LibSplit.
+func runWhitebox(out io.Writer, cfg harness.SweepConfig) error {
 	results, err := harness.RunTable3(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Table 3: white-box measurements")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(out, "Table 3: white-box measurements")
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "KA\tSA\tHS(1/s)\tCPU srv(ms)\tCPU cli(ms)\tPkts srv\tPkts cli\tServer libs\tClient libs")
 	for _, r := range results {
+		pkts := r.ClientPackets + r.ServerPackets
 		fmt.Fprintf(w, "%s\t%s\t%.0f\t%s\t%s\t%d\t%d\t%s\t%s\n",
 			r.KEM, r.Sig, r.HandshakeRate(), ms(r.ServerCPU), ms(r.ClientCPU),
 			r.ServerPackets, r.ClientPackets,
-			distString(r.ServerProfile), distString(r.ClientProfile))
+			libsString(harness.LibSplit(r.ServerCPU, pkts)), libsString(harness.LibSplit(r.ClientCPU, pkts)))
 	}
 	return w.Flush()
 }
 
-func distString(s perf.Snapshot) string {
+// libsString renders a library split, omitting shares under 1 %.
+func libsString(split []harness.LibShare) string {
 	var parts []string
-	for _, bs := range s.Distribution() {
+	for _, bs := range split {
 		if bs.Share < 0.01 {
 			continue
 		}

@@ -35,16 +35,14 @@ func runPhases(args []string) error {
 	outDir := fs.String("out", "results", "directory for JSONL traces and CSV aggregates")
 	fs.Parse(args)
 
-	var policies []tls13.BufferPolicy
-	switch *buffer {
-	case "both":
-		policies = []tls13.BufferPolicy{tls13.BufferDefault, tls13.BufferImmediate}
-	case "default":
-		policies = []tls13.BufferPolicy{tls13.BufferDefault}
-	case "immediate":
-		policies = []tls13.BufferPolicy{tls13.BufferImmediate}
-	default:
-		return fmt.Errorf("unknown -buffer %q (want both, default, or immediate)", *buffer)
+	policies := []tls13.BufferPolicy{tls13.BufferDefault, tls13.BufferImmediate}
+	if *buffer != "both" {
+		policy, err := tls13.ParseBufferPolicy(*buffer)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "pqbench:", err)
+			os.Exit(2)
+		}
+		policies = []tls13.BufferPolicy{policy}
 	}
 	if *liveMode {
 		return runPhasesLive(*kemName, *sigName, policies, *samples, *resume, *outDir)

@@ -35,6 +35,11 @@ func main() {
 	hsTimeout := flag.Duration("timeout", 10*time.Second, "per-connection handshake deadline")
 	grace := flag.Duration("grace", 5*time.Second, "drain grace period on shutdown")
 	flag.Parse()
+	policy, err := pqtls.ParseBufferPolicy(*buffer)
+	if err != nil {
+		log.Print(err)
+		os.Exit(2)
+	}
 
 	root, rootPriv, err := pqtls.SelfSigned("PQTLS Root CA", *sigName)
 	if err != nil {
@@ -57,10 +62,6 @@ func main() {
 	}
 	log.Printf("root certificate written to %s", *rootOut)
 
-	policy := pqtls.BufferImmediate
-	if *buffer == "default" {
-		policy = pqtls.BufferDefault
-	}
 	cfg := &pqtls.Config{
 		KEMName: *kemName, SigName: *sigName, ServerName: "server.example",
 		Chain: []*pqtls.Certificate{leaf}, PrivateKey: leafPriv, Buffer: policy,

@@ -26,7 +26,7 @@ func main() {
 	for _, s := range sigs {
 		r, err := pqtls.RunCampaign(pqtls.CampaignOptions{
 			KEM: "x25519", Sig: s, Link: pqtls.ScenarioTestbed,
-			Buffer: pqtls.BufferImmediate, Samples: 7, Seed: 11, Profile: true,
+			Buffer: pqtls.BufferImmediate, Samples: 7, Seed: 11,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -126,15 +126,10 @@ func RunHRRComparison(kems []string, link netsim.LinkConfig, cfg SweepConfig) ([
 			samples = 15
 		}
 		totals := make([]time.Duration, samples)
-		workers := cfg.Workers
-		if cfg.Timing == TimingReal {
-			workers = 1
-		}
-		err := forEach(samples, workers, func(i int) error {
+		err := forEach(samples, cfg.Workers, func(i int) error {
 			res, err := RunHandshake(RunOptions{
 				KEM: k, Sig: BaselineSig, Link: link, Buffer: tls13.BufferImmediate,
 				Seed: 9 + int64(i)*7919, ClientKEM: "x25519", ClientSupported: []string{k},
-				Timing: cfg.Timing,
 			})
 			if err != nil {
 				return err

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"pqtls/internal/netsim"
-	"pqtls/internal/perf"
 	"pqtls/internal/stats"
 	"pqtls/internal/tls13"
 )
@@ -31,15 +30,12 @@ type CampaignOptions struct {
 	ChainDepth int
 	// Resume measures PSK-resumed handshakes instead of full ones.
 	Resume bool
-	// Profile enables white-box collection.
-	Profile bool
 	// Workers bounds the sample-level parallelism (0 = one per CPU).
 	// Because samples are independently seeded and modeled timing keeps
 	// the virtual clocks jitter-free, the aggregated result is identical
 	// for any worker count.
 	Workers int
-	// Timing selects modeled (default) or measured compute time.
-	// TimingReal forces sequential execution.
+	// Timing is TimingModel, the only mode.
 	Timing Timing
 }
 
@@ -63,9 +59,6 @@ type CampaignResult struct {
 
 	// Mean CPU per handshake and side (Table 3's CPU cost).
 	ClientCPU, ServerCPU time.Duration
-
-	// White-box profiles (populated when Profile was set).
-	ClientProfile, ServerProfile perf.Snapshot
 }
 
 // HandshakeRate is the extrapolated handshakes per second.
@@ -80,51 +73,32 @@ func normalizeCampaign(opts *CampaignOptions) {
 	}
 }
 
-// sampleResult is one handshake's contribution to a campaign row.
-type sampleResult struct {
-	res                    *HandshakeResult
-	clientProf, serverProf *perf.Profiler
-}
-
 // runCampaignSample executes sample i of a campaign. Each sample owns its
-// entire simulation state (link, TCP, tap, endpoints, profilers, meters),
-// so samples are safe to run concurrently.
-func runCampaignSample(opts CampaignOptions, i int) (*sampleResult, error) {
-	s := &sampleResult{}
-	if opts.Profile {
-		s.clientProf = perf.NewProfiler()
-		s.serverProf = perf.NewProfiler()
-	}
-	res, err := RunHandshake(RunOptions{
+// entire simulation state (link, TCP, tap, endpoints, meters), so samples
+// are safe to run concurrently.
+func runCampaignSample(opts CampaignOptions, i int) (*HandshakeResult, error) {
+	seed := opts.Seed + int64(i)*7919
+	return RunHandshake(RunOptions{
 		KEM: opts.KEM, Sig: opts.Sig, Link: opts.Link, Buffer: opts.Buffer,
-		Seed:       opts.Seed + int64(i)*7919,
-		Rand:       newSampleDRBG(opts.KEM, opts.Sig, opts.Link.Name, opts.Seed+int64(i)*7919),
+		Seed:       seed,
+		Rand:       newSampleDRBG(opts.KEM, opts.Sig, opts.Link.Name, seed),
 		CWND:       opts.CWND,
 		ChainDepth: opts.ChainDepth,
 		Resume:     opts.Resume,
-		Timing:     opts.Timing,
-		ClientProf: s.clientProf, ServerProf: s.serverProf,
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.res = res
-	return s, nil
 }
 
-// aggregateCampaign folds per-sample results (in sample order) into a row.
-// It is the buffered reference implementation: the grid itself streams
-// samples through cellAggregator (see streaming.go), and the differential
-// tests pin the two to byte-identical rows.
-func aggregateCampaign(opts CampaignOptions, samples []*sampleResult) *CampaignResult {
+// aggregateCampaign folds one cell's samples, in sample order, into a row:
+// medians of the latencies, volumes and packet counts, mean CPU, and the
+// 60-second extrapolation from the mean cycle.
+func aggregateCampaign(opts CampaignOptions, samples []*HandshakeResult) *CampaignResult {
 	var (
 		partA, partB, total, cycles []time.Duration
 		cBytes, sBytes              []int
 		cPkts, sPkts                []int
 		cCPU, sCPU                  time.Duration
 	)
-	for _, s := range samples {
-		res := s.res
+	for _, res := range samples {
 		partA = append(partA, res.Phases.PartA)
 		partB = append(partB, res.Phases.PartB)
 		total = append(total, res.Phases.Total())
@@ -142,26 +116,15 @@ func aggregateCampaign(opts CampaignOptions, samples []*sampleResult) *CampaignR
 		PartAMedian:   stats.Median(partA),
 		PartBMedian:   stats.Median(partB),
 		TotalMedian:   stats.Median(total),
-		ClientBytes:   medianInt(cBytes),
-		ServerBytes:   medianInt(sBytes),
-		ClientPackets: medianInt(cPkts),
-		ServerPackets: medianInt(sPkts),
+		ClientBytes:   stats.Median(cBytes),
+		ServerBytes:   stats.Median(sBytes),
+		ClientPackets: stats.Median(cPkts),
+		ServerPackets: stats.Median(sPkts),
 		ClientCPU:     cCPU / time.Duration(opts.Samples),
 		ServerCPU:     sCPU / time.Duration(opts.Samples),
 	}
-	meanCycle := stats.Mean(cycles)
-	if meanCycle > 0 {
+	if meanCycle := stats.Mean(cycles); meanCycle > 0 {
 		out.Handshakes60s = int(MeasurementPeriod / meanCycle)
-	}
-	if opts.Profile {
-		clientProf := perf.NewProfiler()
-		serverProf := perf.NewProfiler()
-		for _, s := range samples {
-			clientProf.Merge(s.clientProf)
-			serverProf.Merge(s.serverProf)
-		}
-		out.ClientProfile = clientProf.Snapshot()
-		out.ServerProfile = serverProf.Snapshot()
 	}
 	return out
 }
@@ -175,12 +138,4 @@ func RunCampaign(opts CampaignOptions) (*CampaignResult, error) {
 		return nil, err
 	}
 	return rows[0], nil
-}
-
-func medianInt(xs []int) int {
-	ds := make([]time.Duration, len(xs))
-	for i, x := range xs {
-		ds[i] = time.Duration(x)
-	}
-	return int(stats.Median(ds))
 }

@@ -7,24 +7,18 @@ import (
 	"pqtls/internal/tls13"
 )
 
-// Timing selects how compute cost enters the simulation's virtual clocks.
+// Timing names how compute cost enters the simulation's virtual clocks.
+// TimingModel is the only mode.
 type Timing int
 
-const (
-	// TimingModel (the default) charges each public-key operation its
-	// modeled cost from DefaultCostModel. Crypto still executes for real —
-	// outputs are verified — but the virtual time it consumes is a fixed
-	// per-(operation, algorithm) constant, so a campaign's results are a
-	// deterministic function of the suite, the link, and the seed. This is
-	// what allows samples to fan out across workers: a sample computes the
-	// same latencies no matter which worker runs it or how loaded the host
-	// is.
-	TimingModel Timing = iota
-	// TimingReal charges the measured wall time of each compute step, the
-	// original methodology. Results carry host jitter, so campaigns in this
-	// mode always run their samples sequentially regardless of Workers.
-	TimingReal
-)
+// TimingModel charges each public-key operation its modeled cost from
+// DefaultCostModel. Crypto still executes for real — outputs are verified —
+// but the virtual time it consumes is a fixed per-(operation, algorithm)
+// constant, so a campaign's results are a deterministic function of the
+// suite, the link, and the seed. This is what allows samples to fan out
+// across workers: a sample computes the same latencies no matter which
+// worker runs it or how loaded the host is.
+const TimingModel Timing = 0
 
 // kemCost is the modeled cost of one KEM's three operations.
 type kemCost struct{ Keygen, Encaps, Decaps time.Duration }
@@ -181,5 +175,9 @@ func (m *CostMeter) Charge(op, alg string) {
 // Now returns the virtual time.
 func (m *CostMeter) Now() time.Time { return costEpoch.Add(m.elapsed) }
 
-// Elapsed returns the total virtual compute time charged so far.
-func (m *CostMeter) Elapsed() time.Duration { return m.elapsed }
+// stopwatch starts a span on the virtual clock; calling the result reads
+// the compute charged since.
+func (m *CostMeter) stopwatch() func() time.Duration {
+	e0 := m.elapsed
+	return func() time.Duration { return m.elapsed - e0 }
+}

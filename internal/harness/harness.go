@@ -1,13 +1,12 @@
 // Package harness implements the paper's measurement methodology: it wires
 // the TLS 1.3 state machines, the discrete-event network (netsim/tcpsim),
-// the passive timestamper (nettap), and the white-box profiler (perf) into
-// reproducible handshake campaigns, and regenerates every table and figure
-// of the evaluation (see DESIGN.md's experiment index).
+// and the passive timestamper (nettap) into reproducible handshake
+// campaigns, and regenerates every table and figure of the evaluation (see
+// DESIGN.md's experiment index).
 //
 // Time model: cryptographic and protocol compute is executed for real (all
 // outputs are verified), and its cost is charged to per-party virtual
-// clocks — by default from the deterministic cost model (TimingModel, see
-// costmodel.go), optionally as measured wall time (TimingReal); network
+// clocks from the deterministic cost model (see costmodel.go); network
 // transmission, loss, and TCP dynamics advance virtual time through the
 // simulation. Handshake latencies are read off the passive tap exactly as
 // the paper's timestamper does.
@@ -16,13 +15,13 @@ package harness
 import (
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"time"
 
 	"pqtls/internal/netsim"
 	"pqtls/internal/nettap"
 	"pqtls/internal/obs"
-	"pqtls/internal/perf"
 	"pqtls/internal/pki"
 	"pqtls/internal/sig"
 	"pqtls/internal/tcpsim"
@@ -40,6 +39,43 @@ const (
 	ixgbePerPacket  = 600 * time.Nanosecond
 	pythonPerHS     = 30 * time.Microsecond
 )
+
+// LibShare is one shared object's share of an endpoint's CPU time.
+type LibShare struct {
+	Lib   string
+	Share float64
+}
+
+// LibSplit is one endpoint's Table 3 library split, largest share first
+// (ties by name), for a handshake that cost that endpoint cpu and put pkts
+// packets on the wire in both directions. Under the cost model every charge
+// sits inside a libcrypto span, so the endpoint's CPU is all libcrypto and
+// libssl and libc carry nothing; kernel and NIC-driver work scale with the
+// packets the endpoint sends and receives, and the testbed tooling costs a
+// fixed amount per handshake.
+func LibSplit(cpu time.Duration, pkts int) []LibShare {
+	costs := map[string]time.Duration{
+		tls13.LibCrypto: cpu,
+		"kernel":        time.Duration(pkts) * kernelPerPacket,
+		"ixgbe":         time.Duration(pkts) * ixgbePerPacket,
+		"python":        pythonPerHS,
+	}
+	var total time.Duration
+	for _, d := range costs {
+		total += d
+	}
+	out := make([]LibShare, 0, len(costs))
+	for lib, d := range costs {
+		out = append(out, LibShare{Lib: lib, Share: float64(d) / float64(total)})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Share != out[j].Share {
+			return out[i].Share > out[j].Share
+		}
+		return out[i].Lib < out[j].Lib
+	})
+	return out
+}
 
 // credentials is a cached server identity for one signature algorithm.
 type credentials struct {
@@ -181,22 +217,15 @@ type RunOptions struct {
 	// outside the simulation to obtain a session ticket, then the resumed
 	// handshake is measured.
 	Resume bool
-	// Timing selects how compute enters the virtual clocks: modeled costs
-	// (TimingModel, the default — deterministic) or measured wall time
-	// (TimingReal, the paper's original methodology).
-	Timing Timing
 	// Rand, when non-nil, seeds both endpoints' randomness. Campaigns
 	// always set it (a per-sample DRBG), pinning the variable-length
 	// randomized signatures that would otherwise jitter flight sizes and
 	// break byte-identical table regeneration across worker counts.
 	Rand io.Reader
-	// Profilers, when set, collect the white-box view.
-	ClientProf, ServerProf *perf.Profiler
 	// Trace, when non-nil, collects per-endpoint span traces of the
 	// measured handshake (not of the un-simulated ticket-priming handshake
-	// under Resume). Span clocks follow Timing: virtual meter time under
-	// TimingModel, wall time under TimingReal. TraceSample labels the
-	// traces with a sample index.
+	// under Resume). Spans read each endpoint's virtual meter time.
+	// TraceSample labels the traces with a sample index.
 	Trace       *obs.Collector
 	TraceSample int
 	// Pcap, when non-nil, records every tap frame to a libpcap capture
@@ -239,18 +268,11 @@ func RunHandshake(opts RunOptions) (*HandshakeResult, error) {
 		cliCfg.Rand = opts.Rand
 		srvCfg.Rand = opts.Rand
 	}
-	// Per-party compute clocks: under modeled timing each endpoint gets its
-	// own CostMeter and every compute span below reads meter deltas instead
-	// of the wall clock, making the whole simulation jitter-free.
-	var cliMeter, srvMeter *CostMeter
-	if opts.Timing != TimingReal {
-		cliMeter = NewCostMeter(nil)
-		srvMeter = NewCostMeter(nil)
-		cliCfg.Meter = cliMeter
-		srvCfg.Meter = srvMeter
-	}
-	cliClock := stopwatchFor(cliMeter)
-	srvClock := stopwatchFor(srvMeter)
+	// Per-party compute clocks: each endpoint gets its own CostMeter and
+	// every compute span below reads meter deltas instead of the wall clock,
+	// making the whole simulation jitter-free.
+	cliMeter, srvMeter := NewCostMeter(nil), NewCostMeter(nil)
+	cliCfg.Meter, srvCfg.Meter = cliMeter, srvMeter
 	if opts.Resume {
 		sess, err := obtainSession(cliCfg, srvCfg)
 		if err != nil {
@@ -258,21 +280,10 @@ func RunHandshake(opts RunOptions) (*HandshakeResult, error) {
 		}
 		cliCfg.Session = sess
 	}
-	// Profilers, like the tracers below, see only the measured handshake,
-	// and read the same clock as the CPU totals they receive, so "libc =
-	// total − spans" subtracts like from like.
-	if opts.ServerProf != nil {
-		opts.ServerProf.SetClock(clockFor(srvMeter))
-		srvCfg.Hooks = opts.ServerProf
-	}
-	if opts.ClientProf != nil {
-		opts.ClientProf.SetClock(clockFor(cliMeter))
-		cliCfg.Hooks = opts.ClientProf
-	}
 	// Tracers are installed after the ticket-priming handshake so only the
 	// measured handshake is traced. Each endpoint's tracer reads that
-	// endpoint's clock — the virtual meter under modeled timing, so span
-	// durations are exactly the charged compute.
+	// endpoint's virtual meter, so span durations are exactly the charged
+	// compute.
 	var cliTracer, srvTracer *obs.Tracer
 	if opts.Trace != nil {
 		meta := obs.Meta{
@@ -283,10 +294,10 @@ func RunHandshake(opts RunOptions) (*HandshakeResult, error) {
 		}
 		cliMeta, srvMeta := meta, meta
 		cliMeta.Endpoint, srvMeta.Endpoint = "client", "server"
-		cliTracer = obs.NewTracer(cliMeta, clockFor(cliMeter))
-		srvTracer = obs.NewTracer(srvMeta, clockFor(srvMeter))
-		cliCfg.Hooks = tls13.MultiHooks(cliCfg.Hooks, cliTracer)
-		srvCfg.Hooks = tls13.MultiHooks(srvCfg.Hooks, srvTracer)
+		cliTracer = obs.NewTracer(cliMeta, cliMeter.Now)
+		srvTracer = obs.NewTracer(srvMeta, srvMeter.Now)
+		cliCfg.Hooks = cliTracer
+		srvCfg.Hooks = srvTracer
 	}
 	cli, err := tls13.NewClient(cliCfg)
 	if err != nil {
@@ -304,7 +315,7 @@ func RunHandshake(opts RunOptions) (*HandshakeResult, error) {
 
 	// ClientHello (client-side key generation happens here; the paper's
 	// phase measurements exclude it, the cycle time includes it).
-	sw := cliClock()
+	sw := cliMeter.stopwatch()
 	chFlight, err := cli.Start()
 	if err != nil {
 		return nil, err
@@ -323,7 +334,7 @@ func RunHandshake(opts RunOptions) (*HandshakeResult, error) {
 	var finalFlight []tls13.Record
 	var tFinWrite time.Duration
 	for round := 0; round < 2 && finalFlight == nil; round++ {
-		sw = srvClock()
+		sw = srvMeter.stopwatch()
 		flushes, err := srv.Respond(clientFlight)
 		if err != nil {
 			return nil, err
@@ -350,7 +361,7 @@ func RunHandshake(opts RunOptions) (*HandshakeResult, error) {
 			if cliTracer != nil && start > clientFree {
 				cliTracer.Add(tls13.PhaseFlightWait, clientFree-tCH, start-tCH)
 			}
-			sw = cliClock()
+			sw = cliMeter.stopwatch()
 			out, done, err := cli.Consume(f.Records)
 			if err != nil {
 				return nil, err
@@ -376,7 +387,7 @@ func RunHandshake(opts RunOptions) (*HandshakeResult, error) {
 	}
 	finArrive := conn.Send(netsim.ClientToServer, tFinWrite, marshalRecords(finalFlight))
 
-	sw = srvClock()
+	sw = srvMeter.stopwatch()
 	if err := srv.Finish(finalFlight); err != nil {
 		return nil, err
 	}
@@ -396,22 +407,6 @@ func RunHandshake(opts RunOptions) (*HandshakeResult, error) {
 	res.ServerBytes = link.Bytes[netsim.ServerToClient]
 	res.ClientPackets = link.Packets[netsim.ClientToServer]
 	res.ServerPackets = link.Packets[netsim.ServerToClient]
-
-	// White-box attribution of modeled kernel/driver/tooling costs.
-	if opts.ClientProf != nil {
-		pkts := res.ClientPackets + res.ServerPackets // TX + RX
-		opts.ClientProf.Attribute(perf.Kernel, time.Duration(pkts)*kernelPerPacket)
-		opts.ClientProf.Attribute(perf.Ixgbe, time.Duration(pkts)*ixgbePerPacket)
-		opts.ClientProf.Attribute(perf.Python, pythonPerHS)
-		opts.ClientProf.AddTotal(res.ClientCPU)
-	}
-	if opts.ServerProf != nil {
-		pkts := res.ClientPackets + res.ServerPackets
-		opts.ServerProf.Attribute(perf.Kernel, time.Duration(pkts)*kernelPerPacket)
-		opts.ServerProf.Attribute(perf.Ixgbe, time.Duration(pkts)*ixgbePerPacket)
-		opts.ServerProf.Attribute(perf.Python, pythonPerHS)
-		opts.ServerProf.AddTotal(res.ServerCPU)
-	}
 	return res, nil
 }
 
@@ -421,32 +416,6 @@ func BufferName(p tls13.BufferPolicy) string {
 		return "immediate"
 	}
 	return "default"
-}
-
-// clockFor picks a tracer clock: the endpoint's virtual meter under modeled
-// timing, the wall clock otherwise.
-func clockFor(m *CostMeter) func() time.Time {
-	if m == nil {
-		return time.Now
-	}
-	return m.Now
-}
-
-// stopwatchFor returns a stopwatch constructor for one endpoint: measured
-// wall time when m is nil (TimingReal), virtual meter-elapsed deltas
-// otherwise. Each call to the returned function starts a span; invoking the
-// inner function reads it.
-func stopwatchFor(m *CostMeter) func() func() time.Duration {
-	if m == nil {
-		return func() func() time.Duration {
-			t0 := time.Now()
-			return func() time.Duration { return time.Since(t0) }
-		}
-	}
-	return func() func() time.Duration {
-		e0 := m.Elapsed()
-		return func() time.Duration { return m.Elapsed() - e0 }
-	}
 }
 
 // resumptionTicketKey is the static key server instances share so sessions

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"pqtls/internal/netsim"
-	"pqtls/internal/perf"
 	"pqtls/internal/tls13"
 )
 
@@ -77,36 +76,6 @@ func TestCampaignAggregation(t *testing.T) {
 	}
 	if r.TotalMedian < r.PartAMedian {
 		t.Error("total median below part A")
-	}
-}
-
-// White-box: the profiler reads each endpoint's own clock, the meter under
-// modeled timing, so libcrypto spans cover exactly the modeled CPU (every
-// charge sits inside a libcrypto span), and libcrypto dominates the server
-// for a signing-heavy suite.
-func TestWhiteBoxProfile(t *testing.T) {
-	t.Parallel()
-	const samples = 3
-	r, err := RunCampaign(CampaignOptions{
-		KEM: "kyber512", Sig: "dilithium2", Link: ScenarioTestbed,
-		Buffer: tls13.BufferImmediate, Samples: samples, Seed: 1, Profile: true,
-		Timing: TimingModel,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, side := range []struct {
-		name string
-		prof perf.Snapshot
-		cpu  time.Duration // per-sample mean, truncated
-	}{{"server", r.ServerProfile, r.ServerCPU}, {"client", r.ClientProfile, r.ClientCPU}} {
-		got, want := side.prof.Spans[perf.LibCrypto], samples*side.cpu
-		if got < want || got >= want+samples {
-			t.Errorf("%s libcrypto spans %v, want %d × modeled CPU %v = %v", side.name, got, samples, side.cpu, want)
-		}
-	}
-	if dist := r.ServerProfile.Distribution(); len(dist) == 0 || dist[0].Lib != perf.LibCrypto {
-		t.Errorf("server distribution %v, want libcrypto dominant", dist)
 	}
 }
 

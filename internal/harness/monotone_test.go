@@ -35,7 +35,7 @@ func TestScenariosLossMonotoneEndToEnd(t *testing.T) {
 	}
 	t.Parallel()
 	rows, err := RunScenarios([]string{"x25519", "kyber512"}, nil,
-		SweepConfig{Samples: 5, Timing: TimingModel, Workers: 2})
+		SweepConfig{Samples: 5, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,9 @@ import (
 
 // Parallel campaign execution. Campaigns fan individual (suite, sample)
 // tasks out across a bounded worker pool; because samples are seeded
-// deterministically and modeled timing (TimingModel) removes host jitter
-// from the virtual clocks, the aggregated results are byte-identical to a
-// sequential run — workers only change wall-clock time, never output.
+// deterministically and the modeled virtual clocks carry no host jitter,
+// the aggregated results are byte-identical to a sequential run — workers
+// only change wall-clock time, never output.
 
 // DefaultWorkers is the worker count used when Workers is 0: one per
 // available CPU.
@@ -81,44 +81,32 @@ func forEach(n, workers int, fn func(i int) error) error {
 
 // runCampaignGrid executes many campaigns through one flat worker pool:
 // every (campaign, sample) pair is one task, so a slow suite (SPHINCS+,
-// BIKE) cannot serialize the whole grid behind it. Samples stream into one
-// cellAggregator per spec the moment they complete and are then dropped, so
-// memory per cell is bounded by distinct metric values, not Samples. Every
-// aggregate is order-independent (sums and exact order-statistic medians),
-// making the output identical to running each campaign sequentially.
+// BIKE) cannot serialize the whole grid behind it. Each sample lands in its
+// own slot, and every cell is then folded in sample order, making the
+// output identical to running each campaign sequentially.
 func runCampaignGrid(specs []CampaignOptions, workers int) ([]*CampaignResult, error) {
-	for i := range specs {
-		normalizeCampaign(&specs[i])
-		if specs[i].Timing == TimingReal {
-			// Measured timing is meaningless under concurrent load.
-			workers = 1
-		}
-	}
-	// Flatten to (spec, sample) tasks.
 	type task struct{ spec, sample int }
 	var tasks []task
-	aggs := make([]*cellAggregator, len(specs))
+	samples := make([][]*HandshakeResult, len(specs))
 	for si := range specs {
-		aggs[si] = newCellAggregator(specs[si].Profile)
-		for i := 0; i < specs[si].Samples; i++ {
+		normalizeCampaign(&specs[si])
+		samples[si] = make([]*HandshakeResult, specs[si].Samples)
+		for i := range samples[si] {
 			tasks = append(tasks, task{spec: si, sample: i})
 		}
 	}
 	err := forEach(len(tasks), workers, func(ti int) error {
 		t := tasks[ti]
 		res, err := runCampaignSample(specs[t.spec], t.sample)
-		if err != nil {
-			return err
-		}
-		aggs[t.spec].add(res)
-		return nil
+		samples[t.spec][t.sample] = res
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*CampaignResult, len(specs))
 	for si := range specs {
-		out[si] = aggs[si].finalize(specs[si])
+		out[si] = aggregateCampaign(specs[si], samples[si])
 	}
 	return out, nil
 }

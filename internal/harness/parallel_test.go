@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pqtls/internal/netsim"
 	"pqtls/internal/tls13"
 )
 
@@ -14,50 +15,53 @@ import (
 // every sample a pure function of (suite, link, seed), so the aggregated
 // CSV must be identical for any worker count.
 
-// determinismSuites deliberately includes falcon512 (lazy NTT tables) and
-// hqc128 (lazy code tables) so the workers=8 run doubles as a race test for
-// the lazily initialized cryptographic state. ECDSA signatures are excluded:
-// their DER encoding varies by a byte with the signing nonce, so they are
-// not byte-stable across *any* two runs, sequential or parallel.
-var determinismSuites = []struct{ kem, sig string }{
-	{"x25519", "rsa:2048"},
-	{"kyber512", "dilithium2"},
-	{"hqc128", "falcon512"},
-	{"p256_kyber512", "rsa3072_dilithium2"},
-}
-
+// determinismGrid deliberately includes falcon512 (lazy NTT tables) and
+// hqc128 (lazy code tables) so the parallel runs double as a race test for
+// the lazily initialized cryptographic state. The last two cells add an odd
+// sample count (the median's other branch) and a hybrid certificate on a
+// lossy link, whose samples differ, so a fold that dropped or repeated a
+// sample would show in the medians. ECDSA signatures are excluded: their
+// DER encoding varies by a byte with the signing nonce, so they are not
+// byte-stable across *any* two runs, sequential or parallel.
 func determinismGrid(workers int) []CampaignOptions {
-	specs := make([]CampaignOptions, 0, len(determinismSuites))
-	for _, s := range determinismSuites {
-		specs = append(specs, CampaignOptions{
-			KEM: s.kem, Sig: s.sig, Link: ScenarioTestbed,
-			Buffer: tls13.BufferImmediate, Samples: 6, Seed: 42, Workers: workers,
-		})
+	cell := func(kem, sig string, link netsim.LinkConfig, samples int, seed int64) CampaignOptions {
+		return CampaignOptions{
+			KEM: kem, Sig: sig, Link: link, Buffer: tls13.BufferImmediate,
+			Samples: samples, Seed: seed, Workers: workers,
+		}
 	}
-	return specs
-}
-
-func gridCSV(t *testing.T, workers int) []byte {
-	t.Helper()
-	results, err := runCampaignGrid(determinismGrid(workers), workers)
-	if err != nil {
-		t.Fatal(err)
+	return []CampaignOptions{
+		cell("x25519", "rsa:2048", ScenarioTestbed, 6, 42),
+		cell("kyber512", "dilithium2", ScenarioTestbed, 6, 42),
+		cell("hqc128", "falcon512", ScenarioTestbed, 6, 42),
+		cell("p256_kyber512", "rsa3072_dilithium2", ScenarioTestbed, 6, 42),
+		cell("x25519", "rsa:2048", ScenarioTestbed, 7, 42),
+		cell("p256_kyber512", "rsa3072_dilithium2", netsim.Scenario5G, 5, 7),
 	}
-	var buf bytes.Buffer
-	if err := WriteLatenciesCSV(&buf, results); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
-	sequential := gridCSV(t, 1)
-	for _, workers := range []int{2, 8} {
-		parallel := gridCSV(t, workers)
-		if !bytes.Equal(sequential, parallel) {
+	grid := func(workers int) ([]*CampaignResult, []byte) {
+		rows, err := runCampaignGrid(determinismGrid(workers), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteLatenciesCSV(&buf, rows); err != nil {
+			t.Fatal(err)
+		}
+		return rows, buf.Bytes()
+	}
+	seqRows, seqCSV := grid(1)
+	for _, workers := range []int{2, 4, 8} {
+		rows, csv := grid(workers)
+		if !bytes.Equal(seqCSV, csv) {
 			t.Errorf("workers=%d CSV differs from sequential run:\n--- workers=1\n%s--- workers=%d\n%s",
-				workers, sequential, workers, parallel)
+				workers, seqCSV, workers, csv)
+		} else if !reflect.DeepEqual(seqRows, rows) {
+			t.Errorf("workers=%d rows differ from sequential run (CPU or cycle columns):\n%+v\n%+v",
+				workers, seqRows, rows)
 		}
 	}
 }
@@ -77,22 +81,6 @@ func TestHRRComparisonDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("HRR results differ: sequential %+v, parallel %+v", seq, par)
-	}
-}
-
-// Real-timing campaigns cannot be parallelized without samples perturbing
-// each other; the grid must force them sequential rather than go wrong.
-func TestRealTimingForcesSequential(t *testing.T) {
-	t.Parallel()
-	res, err := RunCampaign(CampaignOptions{
-		KEM: "x25519", Sig: "rsa:2048", Link: ScenarioTestbed,
-		Samples: 2, Workers: 8, Timing: TimingReal,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Samples != 2 || res.TotalMedian <= 0 {
-		t.Errorf("real-timing campaign returned %+v", res)
 	}
 }
 

@@ -23,7 +23,6 @@ type PhasesOptions struct {
 	Samples int
 	Seed    int64
 	Resume  bool
-	Timing  Timing
 }
 
 // PhasesReport is the aggregated phase breakdown of one cell.
@@ -67,7 +66,6 @@ func RunPhases(opts PhasesOptions) (*PhasesReport, error) {
 			Seed:        seed,
 			Rand:        newSampleDRBG(opts.KEM, opts.Sig, opts.Link.Name, seed),
 			Resume:      opts.Resume,
-			Timing:      opts.Timing,
 			Trace:       col,
 			TraceSample: i,
 		})

@@ -78,21 +78,20 @@ var levelGroups = []struct {
 }
 
 // SweepConfig carries the knobs shared by every table/figure sweep: the
-// per-cell sample count, the server buffering policy, the worker-pool width
-// (0 = one per CPU), and the timing mode. Zero value = 15 samples… callers
-// normally set Samples explicitly.
+// per-cell sample count, the server buffering policy, and the worker-pool
+// width (0 = one per CPU). Zero value = 15 samples… callers normally set
+// Samples explicitly.
 type SweepConfig struct {
 	Samples int
 	Buffer  tls13.BufferPolicy
 	Workers int
-	Timing  Timing
 }
 
 // campaign builds one grid cell from the sweep knobs.
 func (c SweepConfig) campaign(kemName, sigName string, link netsim.LinkConfig, seed int64) CampaignOptions {
 	return CampaignOptions{
 		KEM: kemName, Sig: sigName, Link: link, Buffer: c.Buffer,
-		Samples: c.Samples, Seed: seed, Timing: c.Timing,
+		Samples: c.Samples, Seed: seed,
 	}
 }
 
@@ -235,7 +234,6 @@ func RunTable3(cfg SweepConfig) ([]*CampaignResult, error) {
 	for i, pair := range Table3Pairs {
 		specs[i] = cfg.campaign(pair.KEM, pair.Sig, ScenarioTestbed, 4)
 		specs[i].Buffer = tls13.BufferImmediate
-		specs[i].Profile = true
 	}
 	rows, err := runCampaignGrid(specs, cfg.Workers)
 	if err != nil {

@@ -32,7 +32,7 @@ const (
 	helpPubkeyOps    = "Public-key operations performed, by operation and algorithm."
 )
 
-// Span is a no-op: library buckets are the perf.Profiler's job.
+// Span is a no-op: the metrics break time down by phase, not by library.
 func (p *PhaseHooks) Span(lib string) func() { return func() {} }
 
 // Phase times the phase into pqtls_handshake_phase_seconds{phase=...}.

@@ -86,8 +86,8 @@ func TestValidateJSONLRejects(t *testing.T) {
 	}
 }
 
-// TestTracerOutOfOrderClose mirrors the perf.Profiler contract: closers may
-// run non-LIFO or twice without corrupting the span set.
+// TestTracerOutOfOrderClose pins the Hooks contract: closers may run
+// non-LIFO or twice without corrupting the span set.
 func TestTracerOutOfOrderClose(t *testing.T) {
 	t.Parallel()
 	clk := newStepClock()

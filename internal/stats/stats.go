@@ -8,12 +8,13 @@ import (
 	"time"
 )
 
-// Median returns the median of xs (0 for empty input).
-func Median(xs []time.Duration) time.Duration {
+// Median returns the median of xs (0 for empty input): the middle element
+// for an odd count, the integer-divided mean of the two middles otherwise.
+func Median[T ~int | ~int64](xs []T) T {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := append([]time.Duration{}, xs...)
+	s := append([]T{}, xs...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	n := len(s)
 	if n%2 == 1 {

@@ -8,7 +8,7 @@ import (
 
 func TestMedian(t *testing.T) {
 	t.Parallel()
-	if Median(nil) != 0 {
+	if Median([]time.Duration(nil)) != 0 {
 		t.Error("median of empty input not 0")
 	}
 	if m := Median([]time.Duration{3, 1, 2}); m != 2 {
@@ -16,6 +16,9 @@ func TestMedian(t *testing.T) {
 	}
 	if m := Median([]time.Duration{4, 1, 3, 2}); m != 2 {
 		t.Errorf("median even = %v, want 2 (midpoint of 2,3 = 2.5 truncated)", m)
+	}
+	if m := Median([]int{4, 1, 3, 2}); m != 2 {
+		t.Errorf("median of ints = %d, want 2", m)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tls13
 
 import (
+	"fmt"
 	"io"
 	"time"
 	"unsafe"
@@ -25,10 +26,22 @@ const (
 	BufferImmediate
 )
 
+// ParseBufferPolicy maps a policy's command-line name, "default" or
+// "immediate", to the policy and rejects any other name.
+func ParseBufferPolicy(name string) (BufferPolicy, error) {
+	switch name {
+	case "default":
+		return BufferDefault, nil
+	case "immediate":
+		return BufferImmediate, nil
+	}
+	return 0, fmt.Errorf("unknown buffer policy %q (want default or immediate)", name)
+}
+
 // serverBufferSize is OpenSSL's internal buffer (Section 4 of the paper).
 const serverBufferSize = 4096
 
-// Library buckets used by the white-box profile.
+// Library buckets of Hooks.Span, the grain of the paper's Table 3.
 const (
 	LibCrypto = "libcrypto"
 	LibSSL    = "libssl"
@@ -47,7 +60,7 @@ const (
 // public-key operation to it and reads flush offsets from Now() instead of
 // the wall clock, making the timing of a handshake a deterministic function
 // of the suite rather than of the host's load. The harness installs one per
-// handshake when running in modeled-timing mode.
+// endpoint on every simulated handshake.
 type Meter interface {
 	// Charge advances the virtual clock by the modeled cost of op on alg.
 	Charge(op, alg string)

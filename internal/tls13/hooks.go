@@ -1,11 +1,9 @@
 package tls13
 
-// Hooks is the unified observation seam of the handshake state machines.
-// It generalizes the two seams that grew separately — the white-box library
-// Tracer (perf.Profiler.Span) and the cost-model Meter charge point — into
-// one interface, so the perf bucket profiler, the obs span tracer, and the
-// live metrics recorder are all just hook implementations and can be
-// stacked with MultiHooks.
+// Hooks is the unified observation seam of the handshake state machines:
+// the obs span tracer and the live metrics recorder are both hook
+// implementations and can be stacked with MultiHooks. The cost-model Meter
+// stays a separate seam (see Config.Meter).
 //
 // The three methods observe three different grains of the same handshake:
 //

@@ -180,6 +180,29 @@ func TestBufferPolicies(t *testing.T) {
 	}
 }
 
+// ParseBufferPolicy accepts exactly the two policy names; a typo must be an
+// error, not a silent fall-back to one of the policies.
+func TestParseBufferPolicy(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name string
+		want BufferPolicy
+		ok   bool
+	}{
+		{"default", BufferDefault, true},
+		{"immediate", BufferImmediate, true},
+		{"defualt", 0, false},
+		{"Default", 0, false},
+		{"both", 0, false},
+		{"", 0, false},
+	} {
+		got, err := ParseBufferPolicy(tc.name)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseBufferPolicy(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestGroupMismatchRejected(t *testing.T) {
 	t.Parallel()
 	cliCfg, srvCfg := testConfigs(t, "x25519", "rsa:2048", BufferDefault)

@@ -89,6 +89,10 @@ const (
 	BufferImmediate = tls13.BufferImmediate
 )
 
+// ParseBufferPolicy maps "default" or "immediate" to its policy and rejects
+// any other name.
+func ParseBufferPolicy(name string) (BufferPolicy, error) { return tls13.ParseBufferPolicy(name) }
+
 // NewClient and NewServer construct sans-IO handshakes.
 func NewClient(cfg *Config) (*Client, error) { return tls13.NewClient(cfg) }
 func NewServer(cfg *Config) (*Server, error) { return tls13.NewServer(cfg) }
@@ -138,23 +142,17 @@ type (
 	CampaignResult  = harness.CampaignResult
 	// LinkConfig is a netem-style network emulation profile.
 	LinkConfig = netsim.LinkConfig
-	// Timing selects how per-handshake compute cost is accounted.
+	// Timing names how per-handshake compute cost is accounted.
 	Timing = harness.Timing
 	// SweepConfig parameterizes the table/figure sweeps (samples, buffer
-	// policy, worker count, timing mode).
+	// policy, worker count).
 	SweepConfig = harness.SweepConfig
 )
 
-// Compute-timing modes for campaigns.
-const (
-	// TimingModel (the default) charges modeled per-operation costs to a
-	// virtual clock: results are deterministic and independent of worker
-	// count and host load.
-	TimingModel = harness.TimingModel
-	// TimingReal measures wall-clock compute; it forces sequential
-	// execution since concurrent samples would perturb each other.
-	TimingReal = harness.TimingReal
-)
+// TimingModel, the only timing mode, charges modeled per-operation costs to
+// a virtual clock: results are deterministic and independent of worker
+// count and host load.
+const TimingModel = harness.TimingModel
 
 // RunCampaign measures one suite under one network profile.
 func RunCampaign(opts CampaignOptions) (*CampaignResult, error) {

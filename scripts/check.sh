@@ -33,10 +33,7 @@ echo "==> go test -race"
 go test -race ./...
 
 echo "==> fuzz smoke (${FUZZTIME:-5s} per target)"
-for pair in internal/tls13:FuzzClientHelloParse internal/tls13:FuzzServerHelloParse \
-    internal/tls13:FuzzRecordDeprotect internal/crypto/sha3:FuzzSpongeVsReference; do
-    go test "./${pair%%:*}" -run '^$' -fuzz "${pair#*:}" -fuzztime "${FUZZTIME:-5s}"
-done
+sh scripts/fuzz_smoke.sh
 
 echo "==> live smoke: closed-loop loopback handshakes under -race, none failed"
 sh scripts/live_smoke.sh

@@ -89,8 +89,7 @@ func countOptionFields(f *ast.File) int {
 	return n
 }
 
-// TestSettableValuesRatchet is ROADMAP item 2's committed count of settable
-// values — CLI flags under cmd/ and examples/ plus exported option fields
+// TestSettableValuesRatchet holds the committed count of settable values — CLI flags under cmd/ and examples/ plus exported option fields
 // under internal/ — that only goes down. A PR that removes some lowers
 // testdata/settable_count in the same change; one that adds some must argue
 // for the new number in review.
