@@ -7,6 +7,7 @@ package bike
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"io"
@@ -196,25 +197,25 @@ func (p *Params) Decapsulate(sk, ct []byte) ([]byte, error) {
 	s := gf2x.New(p.R)
 	c0.MulSparse(s, h0sup)
 
+	// Implicit rejection, K = hash(sigma, c0, c1), unless the decoder
+	// succeeds and the FO check passes. The decoder's own success is still
+	// a branch.
+	key := p.hashK(sigma, c0bytes, c1)
 	e0, e1, ok := p.decode(s, h0sup, h1sup)
-	var m []byte
 	if ok {
 		mask := p.hashL(e0, e1)
-		m = make([]byte, 32)
+		m := make([]byte, 32)
 		for i := range m {
 			m[i] = c1[i] ^ mask[i]
 		}
 		// Fujisaki-Okamoto check: the errors must re-derive from m.
+		// Compare and select in constant time.
 		d0, d1 := p.deriveErrors(m)
-		if !e0.Equal(polyFromSupport(p.R, d0)) || !e1.Equal(polyFromSupport(p.R, d1)) {
-			ok = false
-		}
+		same := subtle.ConstantTimeCompare(e0.Bytes(), polyFromSupport(p.R, d0).Bytes()) &
+			subtle.ConstantTimeCompare(e1.Bytes(), polyFromSupport(p.R, d1).Bytes())
+		subtle.ConstantTimeCopy(same, key, p.hashK(m, c0bytes, c1))
 	}
-	if !ok {
-		// Implicit rejection: K = hash(sigma, c0, c1).
-		return p.hashK(sigma, c0bytes, c1), nil
-	}
-	return p.hashK(m, c0bytes, c1), nil
+	return key, nil
 }
 
 // decode runs an iterative bit-flipping decoder with the BGF affine

@@ -9,8 +9,8 @@
 package hqc
 
 import (
-	"bytes"
 	"crypto/rand"
+	"crypto/subtle"
 	"fmt"
 	"io"
 	"sync"
@@ -219,19 +219,20 @@ func (p *Params) Decapsulate(sk, ct []byte) ([]byte, error) {
 	for i := range noisy {
 		noisy[i] = v[i] ^ uyBytes[i]
 	}
+	// Implicit rejection unless the decoder succeeds and the FO check
+	// passes. The decoder's own success is still a branch.
+	key := p.sharedKey(sigma, ct)
 	m, ok := p.concat().decode(noisy)
 	if ok {
 		// FO check: deterministic re-encryption must reproduce (u, v) and
-		// the d hash must match.
+		// the d hash must match. Compare and select in constant time.
 		theta := sha3.ShakeSum256(64, []byte("HQC-THETA"), m, pk[:seedSize])
 		u2, v2 := p.pkeEncrypt(pk, m, theta)
 		wantD := sha3.Sum512(m)
-		if !u2.Equal(u) || !bytes.Equal(v2, v) || !bytes.Equal(d, wantD[:]) {
-			ok = false
-		}
+		same := subtle.ConstantTimeCompare(u2.Bytes(), u.Bytes()) &
+			subtle.ConstantTimeCompare(v2, v) &
+			subtle.ConstantTimeCompare(d, wantD[:])
+		subtle.ConstantTimeCopy(same, key, p.sharedKey(m, ct))
 	}
-	if !ok {
-		return p.sharedKey(sigma, ct), nil
-	}
-	return p.sharedKey(m, ct), nil
+	return key, nil
 }

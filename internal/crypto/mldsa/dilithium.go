@@ -251,29 +251,40 @@ func (k *SigningKey) sign(msg []byte) ([]byte, error) {
 			continue
 		}
 
-		// Check the low bits of w - c*s2 and build the hint against c*t0.
-		hintCount := 0
+		// Check the low bits of w - c*s2 on every row first, in FIPS 204
+		// order: c*t0 and the hints are only computed by the iteration
+		// that passes. w[i] holds w - c*s2 from here on.
 		for i := 0; i < p.K && ok; i++ {
-			hints[i] = poly{}
-			var cs2, ct0 poly
+			var cs2 poly
 			polyMulMont(&cs2, &cHatMont, &s2Hat[i])
 			cs2.invNTT()
+			w[i].sub(&cs2)
+			for n := 0; n < N; n++ {
+				_, r0 := decompose(w[i][n], p.Gamma2)
+				if abs32(r0) >= p.Gamma2-p.Beta {
+					ok = false
+					break
+				}
+			}
+		}
+		if !ok {
+			continue
+		}
+
+		// Build the hint of w - c*s2 against c*t0.
+		hintCount := 0
+		for i := 0; i < p.K; i++ {
+			hints[i] = poly{}
+			var ct0 poly
 			polyMulMont(&ct0, &cHatMont, &t0Hat[i])
 			ct0.invNTT()
 			if ct0.normExceeds(p.Gamma2) {
 				ok = false
 				break
 			}
-			wcs2 := w[i]
-			wcs2.sub(&cs2)
 			for n := 0; n < N; n++ {
-				_, r0 := decompose(wcs2[n], p.Gamma2)
-				if abs32(r0) >= p.Gamma2-p.Beta {
-					ok = false
-					break
-				}
-				with := freduce(wcs2[n] + ct0[n])
-				if highBits(with, p.Gamma2) != highBits(wcs2[n], p.Gamma2) {
+				with := freduce(w[i][n] + ct0[n])
+				if highBits(with, p.Gamma2) != highBits(w[i][n], p.Gamma2) {
 					hints[i][n] = 1
 					hintCount++
 				}

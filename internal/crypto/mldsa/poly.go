@@ -21,17 +21,23 @@ type poly [N]int32
 // zetas[i] = root^bitrev8(i) mod Q. zetasMont holds the same roots scaled
 // by the Montgomery radix (zetas[i]·2^32 mod Q), so montReduce(x·zetasMont[i])
 // yields x·zetas[i] mod Q in the plain domain with one cheap reduction.
+//
+// zetasMontQinv[i] = zetasMont[i]·qInv mod 2^32 precomputes the low-half
+// multiplier of montReduce per zeta: the AVX2 kernels get its
+// t = int32(x·zetasMont[i])·qInv from the one product x·zetasMontQinv[i].
 var (
-	zetas     [N]int32
-	zetasMont [N]int32
+	zetas         [N]int32
+	zetasMont     [N]int32
+	zetasMontQinv [N]int32
 )
 
 // qInv is q^-1 mod 2^32, the low-half multiplier of Montgomery reduction.
 const qInv int32 = 58728449
 
-// r2Mont is 2^64 mod q: multiplying by it under montReduce lifts a plain
-// residue into the Montgomery domain (a·2^32 mod q). Filled in init.
-var r2Mont int64
+// r2MontPoly holds 2^64 mod q in every coefficient: multiplying by it under
+// montReduce lifts a plain residue into the Montgomery domain (a·2^32 mod
+// q), so toMont is a pointwise Montgomery product. Filled in init.
+var r2MontPoly poly
 
 func init() {
 	pow := func(b, e int64) int64 {
@@ -52,8 +58,12 @@ func init() {
 		}
 		zetas[i] = int32(pow(root, int64(br)))
 		zetasMont[i] = int32(int64(zetas[i]) << 32 % Q)
+		zetasMontQinv[i] = zetasMont[i] * qInv
 	}
-	r2Mont = pow(2, 64)
+	r2 := int32(pow(2, 64))
+	for i := range r2MontPoly {
+		r2MontPoly[i] = r2
+	}
 	if int32(pow(256, Q-2)) != inv256 {
 		panic("mldsa: inv256 constant is wrong")
 	}
@@ -93,7 +103,18 @@ func centered(a int32) int32 {
 	return a
 }
 
-// ntt transforms p into the (complete, 8-layer) NTT domain.
+// ntt transforms p into the (complete, 8-layer) NTT domain, with canonical
+// coefficients in bit-reversed zeta order.
+func (p *poly) ntt() {
+	if useAVX2 {
+		nttAVX2(p, &zetasMont, &zetasMontQinv)
+		return
+	}
+	p.nttGeneric()
+}
+
+// nttGeneric is the portable forward transform, and the oracle the vector
+// kernel is tested against.
 //
 // Reductions are lazy: only the multiplied wing of each butterfly is
 // reduced (Montgomery, via the radix-scaled zeta table), so magnitudes
@@ -101,7 +122,7 @@ func centered(a int32) int32 {
 // A final pass restores the canonical [0, q) form the serializers and
 // rejection checks expect, keeping every output byte-identical to the
 // eager version.
-func (p *poly) ntt() {
+func (p *poly) nttGeneric() {
 	k := 1
 	for l := 128; l >= 1; l >>= 1 {
 		for start := 0; start < N; start += 2 * l {
@@ -119,14 +140,25 @@ func (p *poly) ntt() {
 	}
 }
 
-// invNTT is the inverse transform; same reflected-zeta trick as mlkem.
+// invNTT is the inverse transform: natural-order NTT-domain input,
+// canonical plain-domain output.
+func (p *poly) invNTT() {
+	if useAVX2 {
+		invNTTAVX2(p, &zetasMont, &zetasMontQinv)
+		return
+	}
+	p.invNTTGeneric()
+}
+
+// invNTTGeneric is the portable inverse transform; same reflected-zeta
+// trick as mlkem.
 //
 // Fully lazy Gentleman-Sande: the sum wing is never reduced mid-transform.
 // Worst-case magnitude after the 8 doubling layers is 256·q =
 // 2,145,386,752, which still fits int32, and the Montgomery inputs
 // zeta·(sum difference) stay below q·2^31. The 256^-1 scaling is folded
 // into one Montgomery multiply per coefficient.
-func (p *poly) invNTT() {
+func (p *poly) invNTTGeneric() {
 	k := 255
 	for l := 1; l <= 128; l <<= 1 {
 		for start := 0; start < N; start += 2 * l {
@@ -157,15 +189,20 @@ func mulAcc(r, a, b *poly) {
 
 // toMont lifts p into the Montgomery domain (p[i]·2^32 mod q). Inputs must
 // be canonical; outputs are canonical representatives of the scaled values.
-func (p *poly) toMont() {
-	for i := range p {
-		p[i] = freduce(montReduce(r2Mont * int64(p[i])))
-	}
-}
+// It is polyMulMont against the constant r2MontPoly.
+func (p *poly) toMont() { polyMulMont(p, &r2MontPoly, p) }
 
 // polyMulMont sets r[i] = aMont[i]·b[i]·2^-32 mod q — the plain-domain
 // pointwise product when aMont is Montgomery-scaled and b canonical.
 func polyMulMont(r, aMont, b *poly) {
+	if useAVX2 {
+		polyMulMontAVX2(r, aMont, b)
+		return
+	}
+	polyMulMontGeneric(r, aMont, b)
+}
+
+func polyMulMontGeneric(r, aMont, b *poly) {
 	for i := range r {
 		r[i] = freduce(montReduce(int64(aMont[i]) * int64(b[i])))
 	}
@@ -177,6 +214,14 @@ func polyMulMont(r, aMont, b *poly) {
 // needed — far above the ≤ 8 rows of any parameter set — so the whole row
 // costs one montReduce+freduce per coefficient instead of one per term.
 func polyDotMont(r *poly, aMont, b []poly) {
+	if useAVX2 {
+		polyDotMontAVX2(r, aMont, b[:len(aMont)])
+		return
+	}
+	polyDotMontGeneric(r, aMont, b)
+}
+
+func polyDotMontGeneric(r *poly, aMont, b []poly) {
 	for i := 0; i < N; i++ {
 		var acc int64
 		for j := range aMont {

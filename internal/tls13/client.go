@@ -69,8 +69,12 @@ func NewClient(cfg *Config) (*Client, error) {
 	return &Client{cfg: cfg, kem: k, ks: newKeySchedule()}, nil
 }
 
-// Start generates the key share and returns the ClientHello flight.
+// Start generates the key share and returns the ClientHello flight. It may
+// be called once per Client.
 func (c *Client) Start() ([]Record, error) {
+	if c.ch1Msg != nil {
+		return nil, errors.New("tls13: Start called twice")
+	}
 	rng := c.cfg.Rand
 	if rng == nil {
 		rng = rand.Reader

@@ -416,6 +416,9 @@ func (s *Server) Finish(records []Record) error {
 	if s.done {
 		return errors.New("tls13: handshake already complete")
 	}
+	if s.recvHC == nil {
+		return errors.New("tls13: Finish called before Respond sent the server flight")
+	}
 	defer s.cfg.phase(PhaseFinVerify)()
 	for _, rec := range records {
 		switch rec.Type {

@@ -504,3 +504,39 @@ func TestAlertRecord(t *testing.T) {
 		t.Errorf("parseAlert: %v", err)
 	}
 }
+
+// TestOutOfOrderCalls drives the sans-IO API out of order: each call must
+// return an error, never panic or silently restart the handshake.
+func TestOutOfOrderCalls(t *testing.T) {
+	t.Parallel()
+	cliCfg, srvCfg := testConfigs(t, "x25519", "ed25519", BufferDefault)
+	appData := []Record{{Type: RecordApplicationData, Payload: make([]byte, 64)}}
+	cases := []struct {
+		name string
+		call func(cli *Client, srv *Server) error
+	}{
+		{"Server.Finish before Respond", func(_ *Client, srv *Server) error {
+			return srv.Finish(appData)
+		}},
+		{"Client.Start twice", func(cli *Client, _ *Server) error {
+			if _, err := cli.Start(); err != nil {
+				t.Fatalf("first Start: %v", err)
+			}
+			_, err := cli.Start()
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		cli, err := NewClient(cliCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(srvCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.call(cli, srv); err == nil {
+			t.Errorf("%s: no error", tc.name)
+		}
+	}
+}

@@ -32,6 +32,10 @@ go test ./...
 echo "==> go test -race"
 go test -race ./...
 
+echo "==> portable kernels: purego tests, arm64 vet"
+go test -tags purego ./internal/crypto/mldsa ./internal/sig
+GOARCH=arm64 go vet ./internal/crypto/mldsa
+
 echo "==> fuzz smoke (${FUZZTIME:-5s} per target)"
 sh scripts/fuzz_smoke.sh
 
