@@ -342,7 +342,8 @@ func TestTracerOverhead(t *testing.T) {
 
 // TestSansIOHandshakeAllocs gates the allocation count of one full sans-IO
 // handshake (both endpoints, no hooks) for the two suites bench/pqperf
-// drives live; its tls13.sansio_allocs_per_hs reads 163 for the PQ suite.
+// drives live; its tls13.sansio_allocs_per_hs reads 125 for the PQ suite.
+// Each cap is the measured count plus the headroom it has always had.
 func TestSansIOHandshakeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation defeats escape analysis")
@@ -351,8 +352,8 @@ func TestSansIOHandshakeAllocs(t *testing.T) {
 		kem, sig string
 		max      float64
 	}{
-		{"kyber768", "dilithium3", 170},
-		{"x25519", "ed25519", 158},
+		{"kyber768", "dilithium3", 132},
+		{"x25519", "ed25519", 127},
 	} {
 		creds, err := harness.CredentialsFor(suite.sig, 1)
 		if err != nil {

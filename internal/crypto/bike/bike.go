@@ -5,7 +5,6 @@
 package bike
 
 import (
-	"bytes"
 	"crypto/rand"
 	"crypto/subtle"
 	"errors"
@@ -283,9 +282,6 @@ func (p *Params) decode(s *gf2x.Poly, h0sup, h1sup []int) (e0, e1 *gf2x.Poly, ok
 	}
 	return nil, nil, false
 }
-
-// Equal is a helper for tests comparing serialized keys.
-func Equal(a, b []byte) bool { return bytes.Equal(a, b) }
 
 // ErrDecodeFailure reports a decoding failure (only surfaced by tests; the
 // KEM itself uses implicit rejection).

@@ -3,6 +3,8 @@ package kem
 import (
 	"fmt"
 	"io"
+
+	"pqtls/internal/wire"
 )
 
 // hybridKEM combines a classical and a post-quantum KEM following
@@ -50,8 +52,10 @@ func (h *hybridKEM) GenerateKey(rng io.Reader) (pub, priv []byte, err error) {
 	}
 	// Private halves are length-prefixed because classical ECDH private
 	// keys are not fixed-size across curves.
-	priv = append(encodeLen(cPriv), encodeLen(pPriv)...)
-	return append(cPub, pPub...), priv, nil
+	b := wire.NewBuilder(make([]byte, 0, 8+len(cPriv)+len(pPriv)))
+	b.AddUint32LengthPrefixed(func(b *wire.Builder) { b.AddBytes(cPriv) })
+	b.AddUint32LengthPrefixed(func(b *wire.Builder) { b.AddBytes(pPriv) })
+	return append(cPub, pPub...), b.Bytes(), nil
 }
 
 func (h *hybridKEM) Encapsulate(rng io.Reader, pub []byte) (ct, ss []byte, err error) {
@@ -74,13 +78,10 @@ func (h *hybridKEM) Decapsulate(priv, ct []byte) ([]byte, error) {
 	if len(ct) != h.CiphertextSize() {
 		return nil, fmt.Errorf("kem %s: ciphertext is %d bytes, want %d", h.name, len(ct), h.CiphertextSize())
 	}
-	cPriv, rest, err := decodeLen(priv)
-	if err != nil {
-		return nil, fmt.Errorf("kem %s: %w", h.name, err)
-	}
-	pPriv, _, err := decodeLen(rest)
-	if err != nil {
-		return nil, fmt.Errorf("kem %s: %w", h.name, err)
+	s := wire.String(priv)
+	var cPriv, pPriv wire.String
+	if !s.ReadUint32LengthPrefixed(&cPriv) || !s.ReadUint32LengthPrefixed(&pPriv) || !s.Empty() {
+		return nil, fmt.Errorf("kem %s: malformed private key", h.name)
 	}
 	split := h.classic.CiphertextSize()
 	cSS, err := h.classic.Decapsulate(cPriv, ct[:split])
@@ -92,21 +93,4 @@ func (h *hybridKEM) Decapsulate(priv, ct []byte) ([]byte, error) {
 		return nil, err
 	}
 	return append(cSS, pSS...), nil
-}
-
-func encodeLen(b []byte) []byte {
-	out := make([]byte, 0, 4+len(b))
-	out = append(out, byte(len(b)>>24), byte(len(b)>>16), byte(len(b)>>8), byte(len(b)))
-	return append(out, b...)
-}
-
-func decodeLen(b []byte) (val, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("truncated length prefix")
-	}
-	n := int(b[0])<<24 | int(b[1])<<16 | int(b[2])<<8 | int(b[3])
-	if len(b) < 4+n {
-		return nil, nil, fmt.Errorf("truncated value (want %d bytes, have %d)", n, len(b)-4)
-	}
-	return b[4 : 4+n], b[4+n:], nil
 }

@@ -10,12 +10,12 @@ package pki
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
 	"pqtls/internal/sig"
+	"pqtls/internal/wire"
 )
 
 // Certificate binds a subject name to a public key under a signature
@@ -60,62 +60,62 @@ var (
 
 // tbsBytes returns the to-be-signed encoding (everything but the signature).
 func (c *Certificate) tbsBytes() []byte {
-	var b bytes.Buffer
-	writeTBS(&b, c)
+	b := wire.NewBuilder(make([]byte, 0, c.tbsSize()))
+	c.addTBS(b)
 	return b.Bytes()
 }
 
-func writeTBS(b *bytes.Buffer, c *Certificate) {
-	var serial [8]byte
-	binary.BigEndian.PutUint64(serial[:], c.Serial)
-	b.Write(serial[:])
-	writeStr(b, c.Subject)
-	writeStr(b, c.Issuer)
-	writeStr(b, c.Algorithm)
-	writeStr(b, c.SigAlg)
-	writeBytes(b, c.PublicKey)
+func (c *Certificate) tbsSize() int {
+	return 8 + 2*4 + len(c.Subject) + len(c.Issuer) + len(c.Algorithm) + len(c.SigAlg) + 3 + len(c.PublicKey)
 }
 
-// Marshal encodes the certificate.
+// addTBS writes the serial, the four names behind u16 lengths and the
+// public key behind a u24 length.
+func (c *Certificate) addTBS(b *wire.Builder) {
+	b.AddUint32(uint32(c.Serial >> 32))
+	b.AddUint32(uint32(c.Serial))
+	for _, s := range [...]string{c.Subject, c.Issuer, c.Algorithm, c.SigAlg} {
+		b.AddUint16LengthPrefixed(func(b *wire.Builder) { b.AddBytes([]byte(s)) })
+	}
+	b.AddUint24LengthPrefixed(func(b *wire.Builder) { b.AddBytes(c.PublicKey) })
+}
+
+// Marshal encodes the certificate: the TBS, then the signature behind a u24
+// length.
 func (c *Certificate) Marshal() []byte {
-	var b bytes.Buffer
-	writeTBS(&b, c)
-	writeBytes(&b, c.Signature)
+	b := wire.NewBuilder(make([]byte, 0, c.tbsSize()+3+len(c.Signature)))
+	c.addTBS(b)
+	b.AddUint24LengthPrefixed(func(b *wire.Builder) { b.AddBytes(c.Signature) })
 	return b.Bytes()
 }
 
-// Unmarshal decodes a certificate produced by Marshal.
+// Unmarshal decodes a certificate produced by Marshal. The result shares no
+// memory with data.
 func Unmarshal(data []byte) (*Certificate, error) {
-	r := bytes.NewReader(data)
-	c := &Certificate{}
-	var serial [8]byte
-	if _, err := io.ReadFull(r, serial[:]); err != nil {
-		return nil, fmt.Errorf("pki: truncated serial: %w", err)
+	// One private copy backs PublicKey and Signature.
+	s := wire.String(bytes.Clone(data))
+	var hi, lo uint32
+	if !s.ReadUint32(&hi) || !s.ReadUint32(&lo) {
+		return nil, errors.New("pki: truncated serial")
 	}
-	c.Serial = binary.BigEndian.Uint64(serial[:])
-	var err error
-	if c.Subject, err = readStr(r); err != nil {
-		return nil, err
+	var subject, issuer, alg, sigAlg, pub, signature wire.String
+	if !s.ReadUint16LengthPrefixed(&subject) || !s.ReadUint16LengthPrefixed(&issuer) ||
+		!s.ReadUint16LengthPrefixed(&alg) || !s.ReadUint16LengthPrefixed(&sigAlg) ||
+		!s.ReadUint24LengthPrefixed(&pub) || !s.ReadUint24LengthPrefixed(&signature) {
+		return nil, errors.New("pki: truncated field")
 	}
-	if c.Issuer, err = readStr(r); err != nil {
-		return nil, err
-	}
-	if c.Algorithm, err = readStr(r); err != nil {
-		return nil, err
-	}
-	if c.SigAlg, err = readStr(r); err != nil {
-		return nil, err
-	}
-	if c.PublicKey, err = readBytes(r); err != nil {
-		return nil, err
-	}
-	if c.Signature, err = readBytes(r); err != nil {
-		return nil, err
-	}
-	if r.Len() != 0 {
+	if !s.Empty() {
 		return nil, errors.New("pki: trailing bytes after certificate")
 	}
-	return c, nil
+	return &Certificate{
+		Serial:    uint64(hi)<<32 | uint64(lo),
+		Subject:   string(subject),
+		Issuer:    string(issuer),
+		Algorithm: string(alg),
+		SigAlg:    string(sigAlg),
+		PublicKey: pub,
+		Signature: signature,
+	}, nil
 }
 
 // SelfSigned creates a self-signed root certificate for the given scheme.
@@ -192,51 +192,4 @@ func (p *Pool) Verify(chain []*Certificate) (*Certificate, error) {
 		}
 	}
 	return chain[0], nil
-}
-
-func writeStr(b *bytes.Buffer, s string) {
-	if len(s) > 0xFFFF {
-		panic("pki: string too long")
-	}
-	b.WriteByte(byte(len(s) >> 8))
-	b.WriteByte(byte(len(s)))
-	b.WriteString(s)
-}
-
-func readStr(r *bytes.Reader) (string, error) {
-	b, err := readN(r, 2)
-	if err != nil {
-		return "", err
-	}
-	v, err := readN(r, int(b[0])<<8|int(b[1]))
-	if err != nil {
-		return "", err
-	}
-	return string(v), nil
-}
-
-func writeBytes(b *bytes.Buffer, v []byte) {
-	if len(v) > 0xFFFFFF {
-		panic("pki: value too long")
-	}
-	b.WriteByte(byte(len(v) >> 16))
-	b.WriteByte(byte(len(v) >> 8))
-	b.WriteByte(byte(len(v)))
-	b.Write(v)
-}
-
-func readBytes(r *bytes.Reader) ([]byte, error) {
-	b, err := readN(r, 3)
-	if err != nil {
-		return nil, err
-	}
-	return readN(r, int(b[0])<<16|int(b[1])<<8|int(b[2]))
-}
-
-func readN(r *bytes.Reader, n int) ([]byte, error) {
-	out := make([]byte, n)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, fmt.Errorf("pki: truncated field: %w", err)
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package pki
 
 import (
+	"bytes"
 	"testing"
 
 	"pqtls/internal/sig"
@@ -133,4 +134,33 @@ func TestEncodingOverhead(t *testing.T) {
 	if overhead > 120 {
 		t.Errorf("encoding overhead %d bytes, want <= 120", overhead)
 	}
+}
+
+// FuzzUnmarshal checks that an accepted encoding is canonical (it
+// re-marshals to its input) and that the result shares no memory with it.
+func FuzzUnmarshal(f *testing.F) {
+	for _, alg := range []string{"ed25519", "dilithium2", "p256_falcon512"} {
+		cert, _, err := SelfSigned("Fuzz Root", sig.MustByName(alg), nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(cert.Marshal())
+	}
+	f.Add(make([]byte, 8+2*4+3+3))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cert, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		again := cert.Marshal()
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x re-marshals to %x", data, again)
+		}
+		for i := range data {
+			data[i] ^= 0xFF
+		}
+		if !bytes.Equal(cert.Marshal(), again) {
+			t.Fatal("certificate aliases its input")
+		}
+	})
 }

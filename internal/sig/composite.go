@@ -3,6 +3,8 @@ package sig
 import (
 	"fmt"
 	"io"
+
+	"pqtls/internal/wire"
 )
 
 // composite combines a classical and a PQ signature per the composite-
@@ -32,6 +34,10 @@ func (c *composite) SignatureSize() int {
 	return 4 + c.classic.SignatureSize() + c.pq.SignatureSize()
 }
 
+// A composite public key, private key or signature is the classical
+// encoding behind a u32 length (classical encodings are variable-size),
+// then the PQ encoding.
+
 func (c *composite) GenerateKey(rng io.Reader) (pub, priv []byte, err error) {
 	cPub, cPriv, err := c.classic.GenerateKey(rng)
 	if err != nil {
@@ -41,13 +47,19 @@ func (c *composite) GenerateKey(rng io.Reader) (pub, priv []byte, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return join(cPub, pPub), join(cPriv, pPriv), nil
+	var pubB, privB wire.Builder
+	pubB.AddUint32LengthPrefixed(func(b *wire.Builder) { b.AddBytes(cPub) })
+	pubB.AddBytes(pPub)
+	privB.AddUint32LengthPrefixed(func(b *wire.Builder) { b.AddBytes(cPriv) })
+	privB.AddBytes(pPriv)
+	return pubB.Bytes(), privB.Bytes(), nil
 }
 
 func (c *composite) Sign(priv, msg []byte) ([]byte, error) {
-	cPriv, pPriv, err := split(priv)
-	if err != nil {
-		return nil, fmt.Errorf("sig %s: %w", c.name, err)
+	pPriv := wire.String(priv)
+	var cPriv wire.String
+	if !pPriv.ReadUint32LengthPrefixed(&cPriv) {
+		return nil, fmt.Errorf("sig %s: malformed composite private key", c.name)
 	}
 	cSig, err := c.classic.Sign(cPriv, msg)
 	if err != nil {
@@ -57,37 +69,17 @@ func (c *composite) Sign(priv, msg []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return join(cSig, pSig), nil
+	b := wire.NewBuilder(make([]byte, 0, 4+len(cSig)+len(pSig)))
+	b.AddUint32LengthPrefixed(func(b *wire.Builder) { b.AddBytes(cSig) })
+	b.AddBytes(pSig)
+	return b.Bytes(), nil
 }
 
 func (c *composite) Verify(pub, msg, sig []byte) bool {
-	cPub, pPub, err := split(pub)
-	if err != nil {
-		return false
-	}
-	cSig, pSig, err := split(sig)
-	if err != nil {
+	pPub, pSig := wire.String(pub), wire.String(sig)
+	var cPub, cSig wire.String
+	if !pPub.ReadUint32LengthPrefixed(&cPub) || !pSig.ReadUint32LengthPrefixed(&cSig) {
 		return false
 	}
 	return c.classic.Verify(cPub, msg, cSig) && c.pq.Verify(pPub, msg, pSig)
-}
-
-// join concatenates two values with a 4-byte length prefix on the first
-// (classical encodings are variable-size).
-func join(a, b []byte) []byte {
-	out := make([]byte, 0, 4+len(a)+len(b))
-	out = append(out, byte(len(a)>>24), byte(len(a)>>16), byte(len(a)>>8), byte(len(a)))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-func split(v []byte) (a, b []byte, err error) {
-	if len(v) < 4 {
-		return nil, nil, fmt.Errorf("truncated composite value")
-	}
-	n := int(v[0])<<24 | int(v[1])<<16 | int(v[2])<<8 | int(v[3])
-	if n < 0 || len(v) < 4+n {
-		return nil, nil, fmt.Errorf("malformed composite value")
-	}
-	return v[4 : 4+n], v[4+n:], nil
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"pqtls/internal/wire"
 )
 
 // TLS alert descriptions (RFC 8446 §6) used by this stack.
@@ -59,10 +61,12 @@ func (e *AlertError) Error() string {
 
 // parseAlert interprets an alert record.
 func parseAlert(rec Record) error {
-	if len(rec.Payload) < 2 {
+	s := wire.String(rec.Payload)
+	var e AlertError
+	if !s.ReadUint8(&e.Level) || !s.ReadUint8(&e.Description) || !s.Empty() {
 		return fmt.Errorf("tls13: malformed alert record")
 	}
-	return &AlertError{Level: rec.Payload[0], Description: rec.Payload[1]}
+	return &e
 }
 
 // alertFor maps a local handshake failure to the alert description the
@@ -77,6 +81,8 @@ func alertFor(err error) uint8 {
 		return AlertRecordOverflow
 	case errors.Is(err, errHelloTooLarge):
 		return AlertIllegalParameter
+	case errors.Is(err, errNotOnRecordBoundary):
+		return AlertUnexpectedMessage
 	case contains(msg, "certificate"):
 		return AlertBadCertificate
 	case contains(msg, "decryption failed"), contains(msg, "Finished verification"):

@@ -3,6 +3,7 @@ package tls13
 import (
 	"crypto/hmac"
 	"crypto/rand"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +12,12 @@ import (
 	"pqtls/internal/kem"
 	"pqtls/internal/pki"
 	"pqtls/internal/sig"
+	"pqtls/internal/wire"
 )
+
+// zeroBinder is the PSK binder placeholder marshaled before the binder over
+// the partial ClientHello can be computed.
+var zeroBinder [sha256.Size]byte
 
 // Client is a sans-IO TLS 1.3 client handshake. Records are consumed
 // incrementally (per transport arrival), so decapsulation can overlap with
@@ -30,8 +36,9 @@ type Client struct {
 	sessionID [32]byte
 	retried   bool
 
-	sendHC *halfConn // client handshake traffic
-	recvHC *halfConn // server handshake traffic
+	sendHC   *halfConn // client handshake traffic
+	recvHC   *halfConn // server handshake traffic
+	ticketHC *halfConn // server application traffic, for NewSessionTicket
 
 	state      clientState
 	buf        []byte // decrypted, unparsed handshake bytes
@@ -115,10 +122,9 @@ func (c *Client) Start() ([]Record, error) {
 	}
 	ch := &clientHello{
 		serverName: c.cfg.ServerName,
-		group:      group,
 		groups:     groups,
-		sigAlg:     sigAlg,
-		keyShare:   pub,
+		sigAlgs:    []uint16{sigAlg},
+		keyShares:  []keyShare{{group: group, data: pub}},
 	}
 	if _, err := io.ReadFull(rng, ch.random[:]); err != nil {
 		return nil, err
@@ -127,9 +133,15 @@ func (c *Client) Start() ([]Record, error) {
 		return nil, err
 	}
 	c.sessionID = ch.sessionID
+	sess := c.cfg.Session
+	if sess != nil {
+		// The binder stays zero until the partial transcript it
+		// authenticates, everything before the binders list, is marshaled.
+		ch.psk, ch.pskIdentity, ch.pskBinder = true, sess.Ticket, zeroBinder[:]
+	}
 	msg := ch.marshal()
-	if c.cfg.Session != nil {
-		msg = appendPSKExtension(msg, c.cfg.Session)
+	if sess != nil {
+		copy(msg[len(msg)-sha256.Size:], computeBinder(sess.PSK, msg[:len(msg)-binderSuffixLen]))
 		c.resuming = true
 	}
 	c.ch1Msg = msg
@@ -183,10 +195,9 @@ func (c *Client) retryHello(hrrMsg []byte, group uint16) ([]Record, error) {
 	}
 	ch := &clientHello{
 		serverName: c.cfg.ServerName,
-		group:      group,
 		groups:     []uint16{group},
-		sigAlg:     sigAlg,
-		keyShare:   pub,
+		sigAlgs:    []uint16{sigAlg},
+		keyShares:  []keyShare{{group: group, data: pub}},
 		sessionID:  c.sessionID,
 	}
 	if _, err := io.ReadFull(rng, ch.random[:]); err != nil {
@@ -256,11 +267,8 @@ func (c *Client) Consume(records []Record) (out []Record, done bool, err error) 
 // decapsulation + key derivation. On a HelloRetryRequest it prepares the
 // retry flight in c.retryOut instead.
 func (c *Client) tryProcessServerHello() error {
-	if len(c.rawBuf) < 4 {
-		return nil
-	}
-	n := int(c.rawBuf[1])<<16 | int(c.rawBuf[2])<<8 | int(c.rawBuf[3])
-	if len(c.rawBuf) < 4+n {
+	typ, body, rest, ok := parseHandshakeMsg(c.rawBuf)
+	if !ok {
 		return nil // wait for more bytes
 	}
 	// Error paths below abandon the open phase: the handshake (and with it
@@ -268,36 +276,30 @@ func (c *Client) tryProcessServerHello() error {
 	// unclosed spans.
 	endPhase := c.cfg.phase(PhaseServerHello)
 	endSSL := c.cfg.span(LibSSL)
-	typ, body, rest, err := parseHandshakeMsg(c.rawBuf)
-	if err != nil {
-		endSSL()
-		return err
-	}
 	if typ != typeServerHello {
 		endSSL()
 		return fmt.Errorf("tls13: expected ServerHello, got type %d", typ)
 	}
-	if isHRR(body) {
-		group, err := parseHRRGroup(body)
-		if err != nil {
-			endSSL()
-			return err
-		}
-		full := c.rawBuf[:4+n]
-		c.rawBuf = rest
+	if len(rest) != 0 {
 		endSSL()
-		endPhase()
-		out, err := c.retryHello(full, group)
-		if err != nil {
-			return err
-		}
-		c.retryOut = out
-		return nil
+		return errNotOnRecordBoundary
 	}
 	sh, err := parseServerHello(body)
 	if err != nil {
 		endSSL()
 		return err
+	}
+	full := c.rawBuf
+	c.rawBuf = nil
+	if sh.hrr {
+		endSSL()
+		endPhase()
+		out, err := c.retryHello(full, sh.group)
+		if err != nil {
+			return err
+		}
+		c.retryOut = out
+		return nil
 	}
 	wantGroup, _ := GroupID(c.cfg.KEMName)
 	if c.retried {
@@ -307,8 +309,7 @@ func (c *Client) tryProcessServerHello() error {
 		endSSL()
 		return fmt.Errorf("tls13: server selected group %#04x, want %#04x", sh.group, wantGroup)
 	}
-	c.ks.addMessage(c.rawBuf[:4+n])
-	c.rawBuf = rest
+	c.ks.addMessage(full)
 	endSSL()
 	endPhase()
 
@@ -348,22 +349,17 @@ func (c *Client) tryProcessServerHello() error {
 // buffer and advances the state machine.
 func (c *Client) drainMessages() error {
 	for {
-		if len(c.buf) < 4 {
+		typ, body, rest, ok := parseHandshakeMsg(c.buf)
+		if !ok {
 			return nil
 		}
-		n := int(c.buf[1])<<16 | int(c.buf[2])<<8 | int(c.buf[3])
-		if len(c.buf) < 4+n {
-			return nil
-		}
-		msg := c.buf[:4+n]
-		typ, body, _, err := parseHandshakeMsg(msg)
-		if err != nil {
+		if err := c.handleMessage(typ, body, c.buf[:len(c.buf)-len(rest)]); err != nil {
 			return err
 		}
-		if err := c.handleMessage(typ, body, msg); err != nil {
-			return err
+		c.buf = rest
+		if c.state == stateDone && len(c.buf) != 0 {
+			return errNotOnRecordBoundary
 		}
-		c.buf = c.buf[4+n:]
 	}
 }
 
@@ -474,7 +470,7 @@ func (c *Client) finalFlight() ([]Record, bool, error) {
 	defer c.cfg.phase(PhaseFinSend)()
 	endCrypto := c.cfg.span(LibCrypto)
 	mac := c.ks.finishedMsg(c.ks.clientHSTraffic[:], c.ks.transcriptHash())
-	finMsg := handshakeMsg(typeFinished, mac)
+	finMsg := handshakeMsg(typeFinished, len(mac), func(b *wire.Builder) { b.AddBytes(mac) })
 	c.ks.deriveMaster()
 	rec, err := c.sendHC.seal(RecordHandshake, finMsg)
 	if err != nil {

@@ -1,10 +1,9 @@
 package tls13
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
-	"errors"
+
+	"pqtls/internal/wire"
 )
 
 // HelloRetryRequest support: the 2-RTT fallback the paper explicitly
@@ -22,92 +21,10 @@ var hrrRandom = [32]byte{
 	0x07, 0x9E, 0x09, 0xE2, 0xC8, 0xA8, 0x33, 0x9C,
 }
 
-// marshalHRR builds a HelloRetryRequest selecting the given group.
-func marshalHRR(sessionID [32]byte, group uint16) []byte {
-	var b bytes.Buffer
-	writeU16(&b, legacyVersion)
-	b.Write(hrrRandom[:])
-	b.WriteByte(32)
-	b.Write(sessionID[:])
-	writeU16(&b, cipherAES128GCMSHA256)
-	b.WriteByte(0) // compression
-
-	var exts bytes.Buffer
-	writeExt(&exts, extSupportedVersions, []byte{byte(tls13Version >> 8), byte(tls13Version & 0xff)})
-	// In an HRR the key_share extension carries only the selected group.
-	writeExt(&exts, extKeyShare, []byte{byte(group >> 8), byte(group)})
-
-	writeU16(&b, uint16(exts.Len()))
-	b.Write(exts.Bytes())
-	return handshakeMsg(typeServerHello, b.Bytes())
-}
-
-// parseHRRGroup extracts the selected group from an HRR body (a ServerHello
-// whose random equals hrrRandom).
-func parseHRRGroup(body []byte) (uint16, error) {
-	r := bytes.NewReader(body)
-	if _, err := readU16(r); err != nil {
-		return 0, err
-	}
-	var random [32]byte
-	if err := readFull(r, random[:]); err != nil {
-		return 0, err
-	}
-	if random != hrrRandom {
-		return 0, errors.New("tls13: not a HelloRetryRequest")
-	}
-	sidLen, err := r.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	if _, err := readN(r, int(sidLen)); err != nil {
-		return 0, err
-	}
-	if _, err := readU16(r); err != nil { // cipher suite
-		return 0, err
-	}
-	if _, err := r.ReadByte(); err != nil { // compression
-		return 0, err
-	}
-	extLen, err := readU16(r)
-	if err != nil {
-		return 0, err
-	}
-	exts, err := readN(r, int(extLen))
-	if err != nil {
-		return 0, err
-	}
-	for len(exts) >= 4 {
-		typ := binary.BigEndian.Uint16(exts)
-		n := int(binary.BigEndian.Uint16(exts[2:]))
-		if len(exts) < 4+n {
-			return 0, errors.New("tls13: truncated HRR extension")
-		}
-		if typ == extKeyShare {
-			if n != 2 {
-				return 0, errors.New("tls13: malformed HRR key_share")
-			}
-			return binary.BigEndian.Uint16(exts[4:]), nil
-		}
-		exts = exts[4+n:]
-	}
-	return 0, errors.New("tls13: HRR without key_share")
-}
-
-// isHRR reports whether a ServerHello body is a HelloRetryRequest.
-func isHRR(body []byte) bool {
-	// The random sits after the 2-byte legacy version.
-	return len(body) >= 34 && bytes.Equal(body[2:34], hrrRandom[:])
-}
-
 // messageHash replaces the first ClientHello in the transcript per
 // RFC 8446 §4.4.1: Transcript-Hash(CH1) wrapped in a synthetic
 // message_hash handshake message.
 func messageHash(ch1 []byte) []byte {
 	digest := sha256.Sum256(ch1)
-	out := make([]byte, 4+len(digest))
-	out[0] = 254 // message_hash
-	out[3] = byte(len(digest))
-	copy(out[4:], digest[:])
-	return out
+	return handshakeMsg(typeMessageHash, len(digest), func(b *wire.Builder) { b.AddBytes(digest[:]) })
 }

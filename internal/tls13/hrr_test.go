@@ -89,11 +89,11 @@ func TestSecondHRRRejected(t *testing.T) {
 	if _, err := cli.Start(); err != nil {
 		t.Fatal(err)
 	}
-	hrr1 := Record{Type: RecordHandshake, Payload: marshalHRR([32]byte{}, groupIDs["kyber512"])}
+	hrr1 := Record{Type: RecordHandshake, Payload: (&serverHello{group: groupIDs["kyber512"], hrr: true}).marshal()}
 	if _, _, err := cli.Consume([]Record{hrr1}); err != nil {
 		t.Fatal(err)
 	}
-	hrr2 := Record{Type: RecordHandshake, Payload: marshalHRR([32]byte{}, groupIDs["p256"])}
+	hrr2 := Record{Type: RecordHandshake, Payload: (&serverHello{group: groupIDs["p256"], hrr: true}).marshal()}
 	if _, _, err := cli.Consume([]Record{hrr2}); err == nil {
 		t.Error("second HRR accepted")
 	}
@@ -121,7 +121,7 @@ func TestHRRUnofferedGroupRejected(t *testing.T) {
 	if _, err := cli.Start(); err != nil {
 		t.Fatal(err)
 	}
-	hrr := Record{Type: RecordHandshake, Payload: marshalHRR([32]byte{}, groupIDs["bikel1"])}
+	hrr := Record{Type: RecordHandshake, Payload: (&serverHello{group: groupIDs["bikel1"], hrr: true}).marshal()}
 	if _, _, err := cli.Consume([]Record{hrr}); err == nil {
 		t.Error("HRR for unoffered group accepted")
 	}

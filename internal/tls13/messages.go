@@ -1,10 +1,10 @@
 package tls13
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"pqtls/internal/wire"
 )
 
 // Handshake message types.
@@ -15,6 +15,7 @@ const (
 	typeCertificate       uint8 = 11
 	typeCertificateVerify uint8 = 15
 	typeFinished          uint8 = 20
+	typeMessageHash       uint8 = 254 // synthetic, RFC 8446 §4.4.1
 )
 
 // Extension codepoints.
@@ -31,27 +32,43 @@ const cipherAES128GCMSHA256 uint16 = 0x1301
 // tls13Version is the supported_versions value for TLS 1.3.
 const tls13Version uint16 = 0x0304
 
-// handshakeMsg wraps a message body with its 4-byte header.
-func handshakeMsg(typ uint8, body []byte) []byte {
-	out := make([]byte, 4+len(body))
-	out[0] = typ
-	out[1] = byte(len(body) >> 16)
-	out[2] = byte(len(body) >> 8)
-	out[3] = byte(len(body))
-	copy(out[4:], body)
-	return out
+// errNotOnRecordBoundary answers a handshake message that is followed by
+// more handshake bytes in the record that carries it, where a key change
+// must come next (RFC 8446 §5.1): the ClientHello, the ServerHello and the
+// client Finished.
+var errNotOnRecordBoundary = errors.New("tls13: handshake message does not end on a record boundary")
+
+// handshakeMsg builds one handshake message: the type, a 24-bit length and
+// the body f writes. sizeHint is the expected body size.
+func handshakeMsg(typ uint8, sizeHint int, f func(*wire.Builder)) []byte {
+	b := wire.NewBuilder(make([]byte, 0, 4+sizeHint))
+	b.AddUint8(typ)
+	b.AddUint24LengthPrefixed(f)
+	return b.Bytes()
 }
 
-// parseHandshakeMsg splits one handshake message off buf.
-func parseHandshakeMsg(buf []byte) (typ uint8, body, rest []byte, err error) {
-	if len(buf) < 4 {
-		return 0, nil, buf, errors.New("tls13: short handshake message")
+// parseHandshakeMsg splits one handshake message off buf; ok is false
+// while buf holds less than a whole message.
+func parseHandshakeMsg(buf []byte) (typ uint8, body, rest []byte, ok bool) {
+	s := wire.String(buf)
+	var b wire.String
+	if !s.ReadUint8(&typ) || !s.ReadUint24LengthPrefixed(&b) {
+		return 0, nil, buf, false
 	}
-	n := int(buf[1])<<16 | int(buf[2])<<8 | int(buf[3])
-	if len(buf) < 4+n {
-		return 0, nil, buf, errors.New("tls13: truncated handshake message")
-	}
-	return buf[0], buf[4 : 4+n], buf[4+n:], nil
+	return typ, b, s, true
+}
+
+// addExtension writes one extension: its type and the u16-prefixed data f
+// writes.
+func addExtension(b *wire.Builder, typ uint16, f func(*wire.Builder)) {
+	b.AddUint16(typ)
+	b.AddUint16LengthPrefixed(f)
+}
+
+// keyShare is one KeyShareEntry (RFC 8446 §4.2.8).
+type keyShare struct {
+	group uint16
+	data  []byte
 }
 
 // clientHello is the subset of ClientHello this stack negotiates.
@@ -59,247 +76,247 @@ type clientHello struct {
 	random     [32]byte
 	sessionID  [32]byte
 	serverName string
-	group      uint16   // group of the offered key share
-	groups     []uint16 // all supported groups (for HelloRetryRequest)
-	sigAlg     uint16   // offered (single) signature scheme
-	keyShare   []byte   // public key for group
+	groups     []uint16   // supported_groups, in preference order
+	sigAlgs    []uint16   // signature_algorithms, in preference order
+	keyShares  []keyShare // key_share entries, in offered order
+
+	// pre_shared_key, always the last extension (with
+	// psk_key_exchange_modes before it). pskIdentity is the first identity
+	// (the ticket) and pskBinder the first binder. bindersOff is the body
+	// offset of the binders list, where the partial transcript the binder
+	// authenticates ends (RFC 8446 §4.2.11.2).
+	psk         bool
+	pskIdentity []byte
+	pskBinder   []byte
+	bindersOff  int
 }
 
+// marshal emits the extensions in a fixed order: server_name,
+// supported_groups, signature_algorithms, supported_versions, key_share,
+// then psk_key_exchange_modes and pre_shared_key when a ticket is offered.
 func (ch *clientHello) marshal() []byte {
-	var b bytes.Buffer
-	writeU16(&b, legacyVersion)
-	b.Write(ch.random[:])
-	b.WriteByte(32)
-	b.Write(ch.sessionID[:])
-	writeU16(&b, 2) // cipher suites length
-	writeU16(&b, cipherAES128GCMSHA256)
-	b.WriteByte(1) // compression methods
-	b.WriteByte(0)
-
-	var exts bytes.Buffer
-	// server_name
-	var sni bytes.Buffer
-	writeU16(&sni, uint16(len(ch.serverName)+3))
-	sni.WriteByte(0) // host_name
-	writeU16(&sni, uint16(len(ch.serverName)))
-	sni.WriteString(ch.serverName)
-	writeExt(&exts, extServerName, sni.Bytes())
-	// supported_groups: the key-share group first, then alternates.
-	all := ch.groups
-	if len(all) == 0 {
-		all = []uint16{ch.group}
+	size := 128 + len(ch.serverName) + 2*len(ch.groups) + 2*len(ch.sigAlgs) + len(ch.pskIdentity) + len(ch.pskBinder)
+	for _, ks := range ch.keyShares {
+		size += 4 + len(ks.data)
 	}
-	var groups bytes.Buffer
-	writeU16(&groups, uint16(2*len(all)))
-	for _, g := range all {
-		writeU16(&groups, g)
-	}
-	writeExt(&exts, extSupportedGroups, groups.Bytes())
-	// signature_algorithms
-	var sigs bytes.Buffer
-	writeU16(&sigs, 2)
-	writeU16(&sigs, ch.sigAlg)
-	writeExt(&exts, extSignatureAlgs, sigs.Bytes())
-	// supported_versions
-	writeExt(&exts, extSupportedVersions, []byte{2, byte(tls13Version >> 8), byte(tls13Version & 0xff)})
-	// key_share
-	var ks bytes.Buffer
-	writeU16(&ks, uint16(4+len(ch.keyShare)))
-	writeU16(&ks, ch.group)
-	writeU16(&ks, uint16(len(ch.keyShare)))
-	ks.Write(ch.keyShare)
-	writeExt(&exts, extKeyShare, ks.Bytes())
+	return handshakeMsg(typeClientHello, size, func(b *wire.Builder) {
+		b.AddUint16(legacyVersion)
+		b.AddBytes(ch.random[:])
+		b.AddUint8LengthPrefixed(func(b *wire.Builder) { b.AddBytes(ch.sessionID[:]) })
+		b.AddUint16LengthPrefixed(func(b *wire.Builder) { b.AddUint16(cipherAES128GCMSHA256) })
+		b.AddUint8LengthPrefixed(func(b *wire.Builder) { b.AddUint8(0) }) // null compression
+		b.AddUint16LengthPrefixed(func(b *wire.Builder) {
+			addExtension(b, extServerName, func(b *wire.Builder) {
+				b.AddUint16LengthPrefixed(func(b *wire.Builder) {
+					b.AddUint8(0) // host_name
+					b.AddUint16LengthPrefixed(func(b *wire.Builder) { b.AddBytes([]byte(ch.serverName)) })
+				})
+			})
+			addExtension(b, extSupportedGroups, func(b *wire.Builder) { addUint16List(b, ch.groups) })
+			addExtension(b, extSignatureAlgs, func(b *wire.Builder) { addUint16List(b, ch.sigAlgs) })
+			addExtension(b, extSupportedVersions, func(b *wire.Builder) {
+				b.AddUint8LengthPrefixed(func(b *wire.Builder) { b.AddUint16(tls13Version) })
+			})
+			addExtension(b, extKeyShare, func(b *wire.Builder) {
+				b.AddUint16LengthPrefixed(func(b *wire.Builder) {
+					for _, ks := range ch.keyShares {
+						b.AddUint16(ks.group)
+						b.AddUint16LengthPrefixed(func(b *wire.Builder) { b.AddBytes(ks.data) })
+					}
+				})
+			})
+			if !ch.psk {
+				return
+			}
+			addExtension(b, extPSKModes, func(b *wire.Builder) {
+				b.AddUint8LengthPrefixed(func(b *wire.Builder) { b.AddUint8(1) }) // psk_dhe_ke
+			})
+			addExtension(b, extPreSharedKey, func(b *wire.Builder) {
+				b.AddUint16LengthPrefixed(func(b *wire.Builder) {
+					b.AddUint16LengthPrefixed(func(b *wire.Builder) { b.AddBytes(ch.pskIdentity) })
+					b.AddUint32(0) // obfuscated_ticket_age
+				})
+				b.AddUint16LengthPrefixed(func(b *wire.Builder) {
+					b.AddUint8LengthPrefixed(func(b *wire.Builder) { b.AddBytes(ch.pskBinder) })
+				})
+			})
+		})
+	})
+}
 
-	writeU16(&b, uint16(exts.Len()))
-	b.Write(exts.Bytes())
-	return handshakeMsg(typeClientHello, b.Bytes())
+func addUint16List(b *wire.Builder, list []uint16) {
+	b.AddUint16LengthPrefixed(func(b *wire.Builder) {
+		for _, v := range list {
+			b.AddUint16(v)
+		}
+	})
+}
+
+// readUint16List reads a u16-prefixed list of uint16 values. An empty list
+// offers nothing, so negotiation fails on it later.
+func readUint16List(s *wire.String) ([]uint16, bool) {
+	var list wire.String
+	if !s.ReadUint16LengthPrefixed(&list) || len(list)%2 != 0 {
+		return nil, false
+	}
+	out := make([]uint16, len(list)/2)
+	for i := range out {
+		list.ReadUint16(&out[i])
+	}
+	return out, true
 }
 
 func parseClientHello(body []byte) (*clientHello, error) {
-	r := bytes.NewReader(body)
 	ch := &clientHello{}
-	if _, err := readU16(r); err != nil { // legacy version
-		return nil, err
+	s := wire.String(body)
+	var sessionID, suites, compression, exts wire.String
+	if !s.Skip(2) || !s.CopyBytes(ch.random[:]) || !s.ReadUint8LengthPrefixed(&sessionID) ||
+		!s.ReadUint16LengthPrefixed(&suites) || !s.ReadUint8LengthPrefixed(&compression) ||
+		!s.ReadUint16LengthPrefixed(&exts) || !s.Empty() {
+		return nil, errors.New("tls13: malformed ClientHello")
 	}
-	if err := readFull(r, ch.random[:]); err != nil {
-		return nil, err
-	}
-	sidLen, err := r.ReadByte()
-	if err != nil || sidLen != 32 {
+	if !sessionID.CopyBytes(ch.sessionID[:]) || !sessionID.Empty() {
 		return nil, errors.New("tls13: unexpected session id")
 	}
-	if err := readFull(r, ch.sessionID[:]); err != nil {
-		return nil, err
-	}
-	csLen, err := readU16(r)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := readN(r, int(csLen)); err != nil {
-		return nil, err
-	}
-	compLen, err := r.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := readN(r, int(compLen)); err != nil {
-		return nil, err
-	}
-	extLen, err := readU16(r)
-	if err != nil {
-		return nil, err
-	}
-	exts, err := readN(r, int(extLen))
-	if err != nil {
-		return nil, err
-	}
-	return ch, parseCHExtensions(ch, exts)
-}
-
-func parseCHExtensions(ch *clientHello, exts []byte) error {
-	for len(exts) > 0 {
-		if len(exts) < 4 {
-			return errors.New("tls13: truncated extension")
+	for !exts.Empty() {
+		if ch.psk {
+			return nil, errors.New("tls13: unexpected extension after pre_shared_key")
 		}
-		typ := binary.BigEndian.Uint16(exts)
-		n := int(binary.BigEndian.Uint16(exts[2:]))
-		if len(exts) < 4+n {
-			return errors.New("tls13: truncated extension body")
+		var typ uint16
+		var ext wire.String
+		if !exts.ReadUint16(&typ) || !exts.ReadUint16LengthPrefixed(&ext) {
+			return nil, errors.New("tls13: truncated extension")
 		}
-		body := exts[4 : 4+n]
-		exts = exts[4+n:]
+		ok := true
 		switch typ {
 		case extServerName:
-			if n < 5 {
-				return errors.New("tls13: bad server_name")
-			}
-			ch.serverName = string(body[5:])
+			var list, name wire.String
+			var nameType uint8
+			ok = ext.ReadUint16LengthPrefixed(&list) && list.ReadUint8(&nameType) && nameType == 0 &&
+				list.ReadUint16LengthPrefixed(&name)
+			ch.serverName = string(name)
 		case extSupportedGroups:
-			if n < 4 {
-				return errors.New("tls13: bad supported_groups")
-			}
-			for i := 2; i+1 < n; i += 2 {
-				ch.groups = append(ch.groups, binary.BigEndian.Uint16(body[i:]))
-			}
+			ch.groups, ok = readUint16List(&ext)
 		case extSignatureAlgs:
-			if n < 4 {
-				return errors.New("tls13: bad signature_algorithms")
-			}
-			ch.sigAlg = binary.BigEndian.Uint16(body[2:])
+			ch.sigAlgs, ok = readUint16List(&ext)
 		case extKeyShare:
-			if n < 8 {
-				return errors.New("tls13: bad key_share")
+			var list wire.String
+			ok = ext.ReadUint16LengthPrefixed(&list)
+			for ok && !list.Empty() {
+				var ks keyShare
+				var data wire.String
+				ok = list.ReadUint16(&ks.group) && list.ReadUint16LengthPrefixed(&data)
+				ks.data = data
+				ch.keyShares = append(ch.keyShares, ks)
 			}
-			ch.group = binary.BigEndian.Uint16(body[2:])
-			kLen := int(binary.BigEndian.Uint16(body[4:]))
-			if len(body) < 6+kLen {
-				return errors.New("tls13: truncated key_share")
-			}
-			ch.keyShare = body[6 : 6+kLen]
 		case extSupportedVersions:
-			found := false
-			for i := 1; i+1 < len(body); i += 2 {
-				if binary.BigEndian.Uint16(body[i:]) == tls13Version {
-					found = true
-				}
+			var list wire.String
+			ok = ext.ReadUint8LengthPrefixed(&list) && len(list)%2 == 0
+			offered := false
+			for ok && !list.Empty() {
+				var v uint16
+				list.ReadUint16(&v)
+				offered = offered || v == tls13Version
 			}
-			if !found {
-				return errors.New("tls13: client does not offer TLS 1.3")
+			if ok && !offered {
+				return nil, errors.New("tls13: client does not offer TLS 1.3")
 			}
+		case extPreSharedKey:
+			var ids, identity, binders, binder wire.String
+			var age uint32
+			ok = ext.ReadUint16LengthPrefixed(&ids) && ids.ReadUint16LengthPrefixed(&identity) && ids.ReadUint32(&age)
+			ch.bindersOff = len(body) - len(ext)
+			ok = ok && ext.ReadUint16LengthPrefixed(&binders) && binders.ReadUint8LengthPrefixed(&binder)
+			ch.psk, ch.pskIdentity, ch.pskBinder = true, identity, binder
+		default:
+			ext = nil // ignored
+		}
+		if !ok || !ext.Empty() {
+			return nil, fmt.Errorf("tls13: malformed extension %d", typ)
 		}
 	}
-	return nil
+	return ch, nil
 }
 
-// serverHello mirrors clientHello for the server's response.
+// shareFor returns the key share the client offered for group.
+func (ch *clientHello) shareFor(group uint16) ([]byte, bool) {
+	for _, ks := range ch.keyShares {
+		if ks.group == group {
+			return ks.data, true
+		}
+	}
+	return nil, false
+}
+
+// serverHello mirrors clientHello for the server's response. A
+// HelloRetryRequest is a serverHello with hrr set: its random is hrrRandom
+// and its key_share names only the selected group.
 type serverHello struct {
 	random    [32]byte
 	sessionID [32]byte
 	group     uint16
 	keyShare  []byte // KEM ciphertext / server ECDH share
+	hrr       bool
 }
 
 func (sh *serverHello) marshal() []byte {
-	var b bytes.Buffer
-	writeU16(&b, legacyVersion)
-	b.Write(sh.random[:])
-	b.WriteByte(32)
-	b.Write(sh.sessionID[:])
-	writeU16(&b, cipherAES128GCMSHA256)
-	b.WriteByte(0) // compression
-
-	var exts bytes.Buffer
-	writeExt(&exts, extSupportedVersions, []byte{byte(tls13Version >> 8), byte(tls13Version & 0xff)})
-	var ks bytes.Buffer
-	writeU16(&ks, sh.group)
-	writeU16(&ks, uint16(len(sh.keyShare)))
-	ks.Write(sh.keyShare)
-	writeExt(&exts, extKeyShare, ks.Bytes())
-
-	writeU16(&b, uint16(exts.Len()))
-	b.Write(exts.Bytes())
-	return handshakeMsg(typeServerHello, b.Bytes())
+	return handshakeMsg(typeServerHello, 96+len(sh.keyShare), func(b *wire.Builder) {
+		b.AddUint16(legacyVersion)
+		if sh.hrr {
+			b.AddBytes(hrrRandom[:])
+		} else {
+			b.AddBytes(sh.random[:])
+		}
+		b.AddUint8LengthPrefixed(func(b *wire.Builder) { b.AddBytes(sh.sessionID[:]) })
+		b.AddUint16(cipherAES128GCMSHA256)
+		b.AddUint8(0) // compression
+		b.AddUint16LengthPrefixed(func(b *wire.Builder) {
+			addExtension(b, extSupportedVersions, func(b *wire.Builder) { b.AddUint16(tls13Version) })
+			addExtension(b, extKeyShare, func(b *wire.Builder) {
+				b.AddUint16(sh.group)
+				if !sh.hrr {
+					b.AddUint16LengthPrefixed(func(b *wire.Builder) { b.AddBytes(sh.keyShare) })
+				}
+			})
+		})
+	})
 }
 
 func parseServerHello(body []byte) (*serverHello, error) {
-	r := bytes.NewReader(body)
 	sh := &serverHello{}
-	if _, err := readU16(r); err != nil {
-		return nil, err
+	s := wire.String(body)
+	var sessionID, exts wire.String
+	var suite uint16
+	var compression uint8
+	if !s.Skip(2) || !s.CopyBytes(sh.random[:]) || !s.ReadUint8LengthPrefixed(&sessionID) ||
+		!s.ReadUint16(&suite) || !s.ReadUint8(&compression) || !s.ReadUint16LengthPrefixed(&exts) || !s.Empty() {
+		return nil, errors.New("tls13: malformed ServerHello")
 	}
-	if err := readFull(r, sh.random[:]); err != nil {
-		return nil, err
-	}
-	sidLen, err := r.ReadByte()
-	if err != nil || sidLen != 32 {
+	if !sessionID.CopyBytes(sh.sessionID[:]) || !sessionID.Empty() {
 		return nil, errors.New("tls13: unexpected session id")
-	}
-	if err := readFull(r, sh.sessionID[:]); err != nil {
-		return nil, err
-	}
-	suite, err := readU16(r)
-	if err != nil {
-		return nil, err
 	}
 	if suite != cipherAES128GCMSHA256 {
 		return nil, fmt.Errorf("tls13: server chose unsupported suite %#04x", suite)
 	}
-	if _, err := r.ReadByte(); err != nil { // compression
-		return nil, err
-	}
-	extLen, err := readU16(r)
-	if err != nil {
-		return nil, err
-	}
-	exts, err := readN(r, int(extLen))
-	if err != nil {
-		return nil, err
-	}
-	for len(exts) > 0 {
-		if len(exts) < 4 {
+	sh.hrr = sh.random == hrrRandom
+	hasShare := false
+	for !exts.Empty() {
+		var typ uint16
+		var ext wire.String
+		if !exts.ReadUint16(&typ) || !exts.ReadUint16LengthPrefixed(&ext) {
 			return nil, errors.New("tls13: truncated extension")
 		}
-		typ := binary.BigEndian.Uint16(exts)
-		n := int(binary.BigEndian.Uint16(exts[2:]))
-		if len(exts) < 4+n {
-			return nil, errors.New("tls13: truncated extension body")
+		if typ != extKeyShare {
+			continue
 		}
-		body := exts[4 : 4+n]
-		exts = exts[4+n:]
-		switch typ {
-		case extKeyShare:
-			if n < 4 {
-				return nil, errors.New("tls13: bad key_share")
-			}
-			sh.group = binary.BigEndian.Uint16(body)
-			kLen := int(binary.BigEndian.Uint16(body[2:]))
-			if len(body) < 4+kLen {
-				return nil, errors.New("tls13: truncated key_share")
-			}
-			sh.keyShare = body[4 : 4+kLen]
+		var share wire.String
+		ok := ext.ReadUint16(&sh.group) && (sh.hrr || ext.ReadUint16LengthPrefixed(&share))
+		if !ok || !ext.Empty() {
+			return nil, errors.New("tls13: malformed key_share")
 		}
+		sh.keyShare, hasShare = share, true
 	}
-	if sh.keyShare == nil {
+	if !hasShare {
 		return nil, errors.New("tls13: ServerHello without key_share")
 	}
 	return sh, nil
@@ -307,52 +324,34 @@ func parseServerHello(body []byte) (*serverHello, error) {
 
 // marshalCertificate builds the Certificate message from raw cert encodings.
 func marshalCertificate(certs [][]byte) []byte {
-	var list bytes.Buffer
+	size := 4
 	for _, c := range certs {
-		writeU24(&list, len(c))
-		list.Write(c)
-		writeU16(&list, 0) // no per-certificate extensions
+		size += 5 + len(c)
 	}
-	var b bytes.Buffer
-	b.WriteByte(0) // empty certificate_request_context
-	writeU24(&b, list.Len())
-	b.Write(list.Bytes())
-	return handshakeMsg(typeCertificate, b.Bytes())
+	return handshakeMsg(typeCertificate, size, func(b *wire.Builder) {
+		b.AddUint8(0) // empty certificate_request_context
+		b.AddUint24LengthPrefixed(func(b *wire.Builder) {
+			for _, c := range certs {
+				b.AddUint24LengthPrefixed(func(b *wire.Builder) { b.AddBytes(c) })
+				b.AddUint16(0) // no per-certificate extensions
+			}
+		})
+	})
 }
 
 func parseCertificate(body []byte) ([][]byte, error) {
-	r := bytes.NewReader(body)
-	ctxLen, err := r.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := readN(r, int(ctxLen)); err != nil {
-		return nil, err
-	}
-	listLen, err := readU24(r)
-	if err != nil {
-		return nil, err
-	}
-	list, err := readN(r, listLen)
-	if err != nil {
-		return nil, err
+	s := wire.String(body)
+	var context, list wire.String
+	if !s.ReadUint8LengthPrefixed(&context) || !s.ReadUint24LengthPrefixed(&list) || !s.Empty() {
+		return nil, errors.New("tls13: malformed certificate message")
 	}
 	var certs [][]byte
-	for len(list) > 0 {
-		if len(list) < 3 {
+	for !list.Empty() {
+		var cert, exts wire.String
+		if !list.ReadUint24LengthPrefixed(&cert) || !list.ReadUint16LengthPrefixed(&exts) {
 			return nil, errors.New("tls13: truncated certificate entry")
 		}
-		n := int(list[0])<<16 | int(list[1])<<8 | int(list[2])
-		if len(list) < 3+n+2 {
-			return nil, errors.New("tls13: truncated certificate data")
-		}
-		certs = append(certs, list[3:3+n])
-		extLen := int(binary.BigEndian.Uint16(list[3+n:]))
-		list = list[3+n+2:]
-		if len(list) < extLen {
-			return nil, errors.New("tls13: truncated certificate extensions")
-		}
-		list = list[extLen:]
+		certs = append(certs, cert)
 	}
 	if len(certs) == 0 {
 		return nil, errors.New("tls13: empty certificate list")
@@ -362,80 +361,33 @@ func parseCertificate(body []byte) ([][]byte, error) {
 
 // marshalCertVerify builds the CertificateVerify message.
 func marshalCertVerify(sigAlg uint16, signature []byte) []byte {
-	var b bytes.Buffer
-	writeU16(&b, sigAlg)
-	writeU16(&b, uint16(len(signature)))
-	b.Write(signature)
-	return handshakeMsg(typeCertificateVerify, b.Bytes())
+	return handshakeMsg(typeCertificateVerify, 4+len(signature), func(b *wire.Builder) {
+		b.AddUint16(sigAlg)
+		b.AddUint16LengthPrefixed(func(b *wire.Builder) { b.AddBytes(signature) })
+	})
 }
 
 func parseCertVerify(body []byte) (sigAlg uint16, signature []byte, err error) {
-	if len(body) < 4 {
-		return 0, nil, errors.New("tls13: short CertificateVerify")
+	s := wire.String(body)
+	var sig wire.String
+	if !s.ReadUint16(&sigAlg) || !s.ReadUint16LengthPrefixed(&sig) || !s.Empty() {
+		return 0, nil, errors.New("tls13: malformed CertificateVerify")
 	}
-	sigAlg = binary.BigEndian.Uint16(body)
-	n := int(binary.BigEndian.Uint16(body[2:]))
-	if len(body) != 4+n {
-		return 0, nil, errors.New("tls13: bad CertificateVerify length")
-	}
-	return sigAlg, body[4:], nil
+	return sigAlg, sig, nil
 }
+
+// certVerifyContext is the server context string of RFC 8446 §4.4.3.
+const certVerifyContext = "TLS 1.3, server CertificateVerify"
 
 // certVerifyContent builds the signed content of CertificateVerify
-// (RFC 8446 §4.4.3, server variant).
+// (RFC 8446 §4.4.3, server variant): 64 spaces, the context string, a zero
+// byte and the transcript hash.
 func certVerifyContent(transcriptHash []byte) []byte {
-	var b bytes.Buffer
-	for i := 0; i < 64; i++ {
-		b.WriteByte(0x20)
+	out := make([]byte, 64, 64+len(certVerifyContext)+1+len(transcriptHash))
+	for i := range out {
+		out[i] = 0x20
 	}
-	b.WriteString("TLS 1.3, server CertificateVerify")
-	b.WriteByte(0)
-	b.Write(transcriptHash)
-	return b.Bytes()
-}
-
-func writeU16(b *bytes.Buffer, v uint16) {
-	b.WriteByte(byte(v >> 8))
-	b.WriteByte(byte(v))
-}
-
-func writeU24(b *bytes.Buffer, v int) {
-	b.WriteByte(byte(v >> 16))
-	b.WriteByte(byte(v >> 8))
-	b.WriteByte(byte(v))
-}
-
-func writeExt(b *bytes.Buffer, typ uint16, body []byte) {
-	writeU16(b, typ)
-	writeU16(b, uint16(len(body)))
-	b.Write(body)
-}
-
-func readU16(r *bytes.Reader) (uint16, error) {
-	var buf [2]byte
-	if err := readFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint16(buf[:]), nil
-}
-
-func readU24(r *bytes.Reader) (int, error) {
-	var buf [3]byte
-	if err := readFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return int(buf[0])<<16 | int(buf[1])<<8 | int(buf[2]), nil
-}
-
-func readN(r *bytes.Reader, n int) ([]byte, error) {
-	out := make([]byte, n)
-	return out, readFull(r, out)
-}
-
-func readFull(r *bytes.Reader, out []byte) error {
-	if r.Len() < len(out) {
-		return errors.New("tls13: truncated message")
-	}
-	_, err := r.Read(out)
-	return err
+	out = append(out, certVerifyContext...)
+	out = append(out, 0)
+	return append(out, transcriptHash...)
 }

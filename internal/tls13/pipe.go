@@ -1,11 +1,12 @@
 package tls13
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"time"
+
+	"pqtls/internal/wire"
 )
 
 // This file adapts the sans-IO state machines to real byte streams
@@ -51,7 +52,9 @@ func ReadRecord(r io.Reader) (Record, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Record{}, fmt.Errorf("tls13: reading record header: %w", err)
 	}
-	n := int(binary.BigEndian.Uint16(hdr[3:]))
+	var n uint16
+	lengthField := wire.String(hdr[3:])
+	lengthField.ReadUint16(&n)
 	if n > maxCiphertext {
 		return Record{}, fmt.Errorf("%w: %d-byte record, limit %d", errRecordOverflow, n, maxCiphertext)
 	}
@@ -161,7 +164,10 @@ func ServerHandshake(conn io.ReadWriter, cfg *Config) (*Server, error) {
 		}
 	}
 	if err := s.Finish(flight); err != nil {
-		return nil, err
+		if _, isAlert := err.(*AlertError); isAlert {
+			return nil, err
+		}
+		return nil, abort(conn, err)
 	}
 	return s, nil
 }
@@ -185,12 +191,13 @@ func readHello(conn io.Reader) ([]Record, error) {
 		} else {
 			msg = append(msg, rec.Payload...)
 		}
-		if want < 0 && len(msg) >= 4 {
-			n := int(msg[1])<<16 | int(msg[2])<<8 | int(msg[3])
+		header := wire.String(msg)
+		var n uint32
+		if want < 0 && header.Skip(1) && header.ReadUint24(&n) {
 			if n > maxClientHello {
 				return nil, fmt.Errorf("%w: declares %d bytes, limit %d", errHelloTooLarge, n, maxClientHello)
 			}
-			want = 4 + n
+			want = 4 + int(n)
 		}
 	}
 	return []Record{{Type: RecordHandshake, Payload: msg}}, nil

@@ -7,11 +7,14 @@
 package tls13
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"pqtls/internal/wire"
 )
 
 // TLS record content types.
@@ -59,16 +62,13 @@ func WireSize(records []Record) int {
 
 // ParseRecord reads one record from buf, returning the remainder.
 func ParseRecord(buf []byte) (Record, []byte, error) {
-	if len(buf) < 5 {
+	s := wire.String(buf)
+	var typ uint8
+	var payload wire.String
+	if !s.ReadUint8(&typ) || !s.Skip(2) /* legacy_record_version */ || !s.ReadUint16LengthPrefixed(&payload) {
 		return Record{}, buf, errShortRecord
 	}
-	n := int(binary.BigEndian.Uint16(buf[3:]))
-	if len(buf) < 5+n {
-		return Record{}, buf, errShortRecord
-	}
-	payload := make([]byte, n)
-	copy(payload, buf[5:5+n])
-	return Record{Type: buf[0], Payload: payload}, buf[5+n:], nil
+	return Record{Type: typ, Payload: bytes.Clone(payload)}, s, nil
 }
 
 var errShortRecord = errors.New("tls13: short record")

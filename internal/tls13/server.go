@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"pqtls/internal/kem"
 	"pqtls/internal/sig"
+	"pqtls/internal/wire"
 )
 
 // Flush is a group of records the server hands to the transport at one
@@ -29,8 +31,9 @@ type Server struct {
 	scheme sig.Scheme
 	ks     *keySchedule
 
-	sendHC *halfConn // server handshake traffic (server -> client)
-	recvHC *halfConn // client handshake traffic (client -> server)
+	sendHC   *halfConn // server handshake traffic (server -> client)
+	recvHC   *halfConn // client handshake traffic (client -> server)
+	ticketHC *halfConn // server application traffic, for NewSessionTicket
 
 	expectedClientFin [32]byte
 	resumptionPSK     []byte
@@ -83,41 +86,43 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 		}
 		chMsg = append(chMsg, rec.Payload...)
 	}
-	typ, body, _, err := parseHandshakeMsg(chMsg)
-	if err != nil {
+	typ, body, rest, ok := parseHandshakeMsg(chMsg)
+	if !ok {
 		endSSL()
-		return nil, err
+		return nil, errors.New("tls13: truncated ClientHello")
 	}
 	if typ != typeClientHello {
 		endSSL()
 		return nil, fmt.Errorf("tls13: expected ClientHello, got message type %d", typ)
+	}
+	if len(rest) != 0 {
+		endSSL()
+		return nil, errNotOnRecordBoundary
 	}
 	ch, err := parseClientHello(body)
 	if err != nil {
 		endSSL()
 		return nil, err
 	}
+	// The server's group and scheme are fixed by its Config; it accepts the
+	// ClientHello if they appear anywhere in the client's lists
+	// (RFC 8446 §4.2.3, §4.2.8).
 	wantGroup, err := GroupID(s.cfg.KEMName)
 	if err != nil {
 		endSSL()
 		return nil, err
 	}
-	if ch.group != wantGroup {
-		// If the client supports our group but guessed another for its key
-		// share, fall back to the 2-RTT HelloRetryRequest flow.
-		supported := false
-		for _, g := range ch.groups {
-			if g == wantGroup {
-				supported = true
-			}
-		}
-		if supported && !s.hrrSent {
+	share, ok := ch.shareFor(wantGroup)
+	if !ok {
+		// If the client supports our group but sent no share for it, fall
+		// back to the 2-RTT HelloRetryRequest flow.
+		if slices.Contains(ch.groups, wantGroup) && !s.hrrSent {
 			s.hrrSent = true
 			// RFC 8446 §4.4.1: the transcript restarts with a synthetic
 			// message_hash of CH1 followed by the HRR.
 			s.ks = newKeySchedule()
 			s.ks.addMessage(messageHash(chMsg))
-			hrr := marshalHRR(ch.sessionID, wantGroup)
+			hrr := (&serverHello{sessionID: ch.sessionID, group: wantGroup, hrr: true}).marshal()
 			s.ks.addMessage(hrr)
 			endSSL()
 			endPhase()
@@ -127,30 +132,28 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 			}}, nil
 		}
 		endSSL()
-		return nil, fmt.Errorf("tls13: client offered group %#04x, server requires %#04x (%s)",
-			ch.group, wantGroup, s.cfg.KEMName)
+		return nil, fmt.Errorf("tls13: client sent no key share for group %#04x (%s)", wantGroup, s.cfg.KEMName)
 	}
 	wantSig, err := SigID(s.cfg.SigName)
 	if err != nil {
 		endSSL()
 		return nil, err
 	}
-	if ch.sigAlg != wantSig {
+	if !slices.Contains(ch.sigAlgs, wantSig) {
 		endSSL()
-		return nil, fmt.Errorf("tls13: client offered sigalg %#04x, server requires %#04x (%s)",
-			ch.sigAlg, wantSig, s.cfg.SigName)
+		return nil, fmt.Errorf("tls13: client does not offer sigalg %#04x (%s)", wantSig, s.cfg.SigName)
 	}
 	endPhase()
 	// PSK resumption: a valid ticket + binder switches to the
 	// certificate-free flow.
-	if ticket, binder, partial, hasPSK := parsePSKExtension(chMsg); hasPSK {
+	if ch.psk {
 		endRedeem := s.cfg.phase(PhaseTicketRedeem)
 		store := s.cfg.sessionTickets()
 		if store == nil {
 			endSSL()
 			return nil, errNoTicketStore
 		}
-		psk, kemName, err := store.Open(ticket)
+		psk, kemName, err := store.Open(ch.pskIdentity)
 		if err != nil {
 			endSSL()
 			return nil, err
@@ -159,7 +162,7 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 			endSSL()
 			return nil, fmt.Errorf("tls13: ticket bound to %s, server uses %s", kemName, s.cfg.KEMName)
 		}
-		if !hmac.Equal(computeBinder(psk, partial), binder) {
+		if !hmac.Equal(computeBinder(psk, chMsg[:4+ch.bindersOff]), ch.pskBinder) {
 			endSSL()
 			return nil, errors.New("tls13: PSK binder verification failed")
 		}
@@ -172,7 +175,7 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 	// Key agreement: encapsulate against the client's share.
 	endEncap := s.cfg.phase(PhaseKEMEncap)
 	endCrypto := s.cfg.span(LibCrypto)
-	ct, ss, err := s.kem.Encapsulate(rng, ch.keyShare)
+	ct, ss, err := s.kem.Encapsulate(rng, share)
 	if err != nil {
 		endCrypto()
 		return nil, fmt.Errorf("tls13: encapsulation: %w", err)
@@ -183,7 +186,7 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 
 	endPhase = s.cfg.phase(PhaseServerHello)
 	endSSL = s.cfg.span(LibSSL)
-	sh := &serverHello{group: ch.group, keyShare: ct, sessionID: ch.sessionID}
+	sh := &serverHello{group: wantGroup, keyShare: ct, sessionID: ch.sessionID}
 	if _, err := io.ReadFull(rng, sh.random[:]); err != nil {
 		endSSL()
 		return nil, err
@@ -222,7 +225,9 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 
 	// EncryptedExtensions (empty list).
 	endSSL = s.cfg.span(LibSSL)
-	eeMsg := handshakeMsg(typeEncryptedExts, []byte{0, 0})
+	eeMsg := handshakeMsg(typeEncryptedExts, 2, func(b *wire.Builder) {
+		b.AddUint16LengthPrefixed(func(*wire.Builder) {}) // no extensions
+	})
 	s.ks.addMessage(eeMsg)
 	eeRecs, err := s.sealHandshake(eeMsg)
 	if err != nil {
@@ -291,7 +296,8 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 	// Server Finished.
 	endPhase = s.cfg.phase(PhaseFinSend)
 	endCrypto = s.cfg.span(LibCrypto)
-	finMsg := handshakeMsg(typeFinished, s.ks.finishedMsg(s.ks.serverHSTraffic[:], s.ks.transcriptHash()))
+	mac := s.ks.finishedMsg(s.ks.serverHSTraffic[:], s.ks.transcriptHash())
+	finMsg := handshakeMsg(typeFinished, len(mac), func(b *wire.Builder) { b.AddBytes(mac) })
 	s.ks.addMessage(finMsg)
 	// The client's Finished covers the transcript through server Finished.
 	s.ks.finishedMACInto(&s.expectedClientFin, s.ks.clientHSTraffic[:], s.ks.transcriptHash())
@@ -411,7 +417,9 @@ func groupDefault(timed []timedRecord) []Flush {
 	return flushes
 }
 
-// Finish consumes the client's ChangeCipherSpec + Finished flight.
+// Finish consumes the client's ChangeCipherSpec + Finished flight. The
+// Finished must end its record and the flight (RFC 8446 §5.1), and the
+// handshake is done only once the whole flight has been checked.
 func (s *Server) Finish(records []Record) error {
 	if s.done {
 		return errors.New("tls13: handshake already complete")
@@ -420,7 +428,11 @@ func (s *Server) Finish(records []Record) error {
 		return errors.New("tls13: Finish called before Respond sent the server flight")
 	}
 	defer s.cfg.phase(PhaseFinVerify)()
+	finished := false
 	for _, rec := range records {
+		if finished {
+			return errNotOnRecordBoundary
+		}
 		switch rec.Type {
 		case RecordChangeCipherSpec:
 			continue
@@ -438,24 +450,28 @@ func (s *Server) Finish(records []Record) error {
 			if innerType != RecordHandshake {
 				return fmt.Errorf("tls13: unexpected inner type %d in client flight", innerType)
 			}
-			typ, body, _, err := parseHandshakeMsg(plaintext)
-			if err != nil {
-				return err
+			typ, body, rest, ok := parseHandshakeMsg(plaintext)
+			if !ok {
+				return errors.New("tls13: truncated client Finished")
 			}
 			if typ != typeFinished {
 				return fmt.Errorf("tls13: expected client Finished, got type %d", typ)
 			}
+			if len(rest) != 0 {
+				return errNotOnRecordBoundary
+			}
 			if !hmac.Equal(body, s.expectedClientFin[:]) {
 				return errors.New("tls13: client Finished verification failed")
 			}
-			s.done = true
+			finished = true
 		default:
 			return fmt.Errorf("tls13: unexpected record type %d in client flight", rec.Type)
 		}
 	}
-	if !s.done {
+	if !finished {
 		return errors.New("tls13: client flight missing Finished")
 	}
+	s.done = true
 	return nil
 }
 

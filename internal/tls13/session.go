@@ -6,6 +6,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"io"
+
+	"pqtls/internal/wire"
 )
 
 // PSK session resumption (RFC 8446 §2.2, §4.6.1): after a full handshake
@@ -57,27 +59,22 @@ func (s *Server) SessionTicket() ([]Record, *Session, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var body bytes.Buffer
-	writeU32(&body, 7200) // ticket_lifetime
-	writeU32(&body, 0)    // ticket_age_add (age checks are out of scope)
-	body.WriteByte(byte(len(nonce)))
-	body.Write(nonce[:])
-	writeU16(&body, uint16(len(ticket)))
-	body.Write(ticket)
-	writeU16(&body, 0) // extensions
-	msg := handshakeMsg(typeNewSessionTicket, body.Bytes())
+	msg := marshalNewSessionTicket(nonce[:], ticket)
 
-	// Post-handshake messages travel under the application traffic keys.
-	appKey, appIV := s.ks.trafficKeys(s.ks.serverAppTraffic[:])
-	hc, err := newHalfConn(appKey, appIV)
+	// Post-handshake messages travel under the application traffic keys,
+	// one sequence number per ticket issued on this connection.
+	if s.ticketHC == nil {
+		appKey, appIV := s.ks.trafficKeys(s.ks.serverAppTraffic[:])
+		if s.ticketHC, err = newHalfConn(appKey, appIV); err != nil {
+			return nil, nil, err
+		}
+	}
+	rec, err := s.ticketHC.seal(RecordHandshake, msg)
 	if err != nil {
 		return nil, nil, err
 	}
-	// hc is single-use, so the record may keep aliasing its seal scratch.
-	rec, err := hc.seal(RecordHandshake, msg)
-	if err != nil {
-		return nil, nil, err
-	}
+	// The payload aliases the seal scratch the next ticket reuses.
+	rec.Payload = bytes.Clone(rec.Payload)
 	return []Record{rec}, &Session{Ticket: ticket, PSK: psk, KEMName: s.cfg.KEMName}, nil
 }
 
@@ -88,51 +85,63 @@ func (c *Client) ProcessTicket(records []Record) (*Session, error) {
 		return nil, errors.New("tls13: ProcessTicket before handshake completion")
 	}
 	defer c.cfg.phase(PhaseTicketProcess)()
-	appKey, appIV := c.ks.trafficKeys(c.ks.serverAppTraffic[:])
-	hc, err := newHalfConn(appKey, appIV)
-	if err != nil {
-		return nil, err
+	if c.ticketHC == nil {
+		appKey, appIV := c.ks.trafficKeys(c.ks.serverAppTraffic[:])
+		var err error
+		if c.ticketHC, err = newHalfConn(appKey, appIV); err != nil {
+			return nil, err
+		}
 	}
 	for _, rec := range records {
-		innerType, plaintext, err := hc.open(rec)
+		innerType, plaintext, err := c.ticketHC.open(rec)
 		if err != nil {
 			return nil, err
 		}
 		if innerType != RecordHandshake {
 			continue
 		}
-		typ, body, _, err := parseHandshakeMsg(plaintext)
-		if err != nil {
-			return nil, err
+		typ, body, _, ok := parseHandshakeMsg(plaintext)
+		if !ok {
+			return nil, errors.New("tls13: truncated handshake message")
 		}
 		if typ != typeNewSessionTicket {
 			continue
 		}
-		r := bytes.NewReader(body)
-		if _, err := readN(r, 8); err != nil { // lifetime + age_add
-			return nil, err
-		}
-		nonceLen, err := r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		nonce, err := readN(r, int(nonceLen))
-		if err != nil {
-			return nil, err
-		}
-		tktLen, err := readU16(r)
-		if err != nil {
-			return nil, err
-		}
-		ticket, err := readN(r, int(tktLen))
+		nonce, ticket, err := parseNewSessionTicket(body)
 		if err != nil {
 			return nil, err
 		}
 		resMaster := deriveSecret(c.ks.masterSecret[:], "res master", c.ks.transcriptHash())
 		psk := hkdfExpandLabel(resMaster, "resumption", nonce, sha256.Size)
-		return &Session{Ticket: ticket, PSK: psk, KEMName: c.cfg.KEMName}, nil
+		// ticket aliases the buffer the next open on c.ticketHC reuses.
+		return &Session{Ticket: bytes.Clone(ticket), PSK: psk, KEMName: c.cfg.KEMName}, nil
 	}
 	return nil, errors.New("tls13: no NewSessionTicket in flight")
+}
+
+// marshalNewSessionTicket builds a NewSessionTicket (RFC 8446 §4.6.1) with
+// a fixed lifetime and no extensions.
+func marshalNewSessionTicket(nonce, ticket []byte) []byte {
+	return handshakeMsg(typeNewSessionTicket, 11+len(nonce)+len(ticket), func(b *wire.Builder) {
+		b.AddUint32(7200) // ticket_lifetime
+		b.AddUint32(0)    // ticket_age_add (age checks are out of scope)
+		b.AddUint8LengthPrefixed(func(b *wire.Builder) { b.AddBytes(nonce) })
+		b.AddUint16LengthPrefixed(func(b *wire.Builder) { b.AddBytes(ticket) })
+		b.AddUint16LengthPrefixed(func(*wire.Builder) {}) // no extensions
+	})
+}
+
+// parseNewSessionTicket returns the ticket_nonce and the ticket of a
+// NewSessionTicket body (RFC 8446 §4.6.1). Both alias body.
+func parseNewSessionTicket(body []byte) (nonce, ticket []byte, err error) {
+	s := wire.String(body)
+	var n, t, exts wire.String
+	if !s.Skip(8) || // ticket_lifetime, ticket_age_add
+		!s.ReadUint8LengthPrefixed(&n) || !s.ReadUint16LengthPrefixed(&t) ||
+		!s.ReadUint16LengthPrefixed(&exts) || !s.Empty() {
+		return nil, nil, errors.New("tls13: malformed NewSessionTicket")
+	}
+	return n, t, nil
 }
 
 // binderKey derives the PSK binder key from the resumption PSK.
@@ -150,130 +159,3 @@ func computeBinder(psk, partialCH []byte) []byte {
 // binderSuffixLen is the wire size of the binders list we emit: 2-byte list
 // length + 1-byte binder length + 32-byte HMAC.
 const binderSuffixLen = 2 + 1 + sha256.Size
-
-// appendPSKExtension rewrites a marshaled ClientHello, appending
-// psk_key_exchange_modes and pre_shared_key (which must be last) and
-// filling in the binder over the partial transcript.
-func appendPSKExtension(chMsg []byte, sess *Session) []byte {
-	// Locate the extensions block by walking the fixed ClientHello layout.
-	body := chMsg[4:]
-	off := 2 + 32             // version + random
-	off += 1 + int(body[off]) // session id
-	csLen := int(body[off])<<8 | int(body[off+1])
-	off += 2 + csLen
-	off += 1 + int(body[off]) // compression
-	extLen := int(body[off])<<8 | int(body[off+1])
-	extStart := off + 2
-	exts := append([]byte{}, body[extStart:extStart+extLen]...)
-
-	var pskModes bytes.Buffer
-	pskModes.WriteByte(1) // one mode
-	pskModes.WriteByte(1) // psk_dhe_ke
-	var extBuf bytes.Buffer
-	extBuf.Write(exts)
-	writeExt(&extBuf, extPSKModes, pskModes.Bytes())
-
-	var pskExt bytes.Buffer
-	writeU16(&pskExt, uint16(2+len(sess.Ticket)+4)) // identities length
-	writeU16(&pskExt, uint16(len(sess.Ticket)))
-	pskExt.Write(sess.Ticket)
-	writeU32(&pskExt, 0) // obfuscated_ticket_age
-	// Binders: placeholder, filled after the partial transcript is known.
-	writeU16(&pskExt, uint16(1+sha256.Size))
-	pskExt.WriteByte(sha256.Size)
-	pskExt.Write(make([]byte, sha256.Size))
-	writeExt(&extBuf, extPreSharedKey, pskExt.Bytes())
-
-	var newBody bytes.Buffer
-	newBody.Write(body[:off])
-	writeU16(&newBody, uint16(extBuf.Len()))
-	newBody.Write(extBuf.Bytes())
-	out := handshakeMsg(typeClientHello, newBody.Bytes())
-
-	// Fill the binder over everything before the binders list.
-	partial := out[:len(out)-binderSuffixLen]
-	binder := computeBinder(sess.PSK, partial)
-	copy(out[len(out)-sha256.Size:], binder)
-	return out
-}
-
-// parsePSKExtension walks the ClientHello's extension list looking for
-// pre_shared_key, returning the ticket, the binder, and the partial
-// transcript (everything before the binders list) for verification.
-func parsePSKExtension(chMsg []byte) (ticket, binder, partial []byte, ok bool) {
-	if len(chMsg) < 4 {
-		return nil, nil, nil, false
-	}
-	body := chMsg[4:]
-	// Walk the fixed ClientHello layout to the extensions block.
-	off := 2 + 32 // version + random
-	if len(body) < off+1 {
-		return nil, nil, nil, false
-	}
-	off += 1 + int(body[off]) // session id
-	if len(body) < off+2 {
-		return nil, nil, nil, false
-	}
-	off += 2 + (int(body[off])<<8 | int(body[off+1])) // cipher suites
-	if len(body) < off+1 {
-		return nil, nil, nil, false
-	}
-	off += 1 + int(body[off]) // compression
-	if len(body) < off+2 {
-		return nil, nil, nil, false
-	}
-	extLen := int(body[off])<<8 | int(body[off+1])
-	off += 2
-	if extLen < 0 || len(body) < off+extLen {
-		return nil, nil, nil, false
-	}
-	end := off + extLen
-	for off+4 <= end {
-		typ := uint16(body[off])<<8 | uint16(body[off+1])
-		n := int(body[off+2])<<8 | int(body[off+3])
-		valOff := off + 4
-		if valOff+n > end {
-			return nil, nil, nil, false
-		}
-		if typ != extPreSharedKey {
-			off = valOff + n
-			continue
-		}
-		val := body[valOff : valOff+n]
-		if len(val) < 2 {
-			return nil, nil, nil, false
-		}
-		idLen := int(val[0])<<8 | int(val[1])
-		if idLen < 0 || len(val) < 2+idLen {
-			return nil, nil, nil, false
-		}
-		ids := val[2 : 2+idLen]
-		if len(ids) < 2 {
-			return nil, nil, nil, false
-		}
-		tktLen := int(ids[0])<<8 | int(ids[1])
-		if tktLen < 0 || len(ids) < 2+tktLen+4 {
-			return nil, nil, nil, false
-		}
-		ticket = ids[2 : 2+tktLen]
-		// The binders list follows the identities inside the extension.
-		bindersOff := valOff + 2 + idLen
-		binders := body[bindersOff : valOff+n]
-		if len(binders) < 3+sha256.Size || binders[2] != sha256.Size {
-			return nil, nil, nil, false
-		}
-		binder = binders[3 : 3+sha256.Size]
-		// Partial transcript: the full message up to the binders list
-		// (RFC 8446 §4.2.11.2), including the 4-byte message header.
-		partial = chMsg[:4+bindersOff]
-		return ticket, binder, partial, true
-	}
-	return nil, nil, nil, false
-}
-
-func writeU32(b *bytes.Buffer, v uint32) {
-	b.WriteByte(byte(v >> 24))
-	b.WriteByte(byte(v >> 16))
-	b.WriteByte(byte(v >> 8))
-	b.WriteByte(byte(v))
-}

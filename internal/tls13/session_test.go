@@ -183,37 +183,53 @@ func TestTicketSealRoundtrip(t *testing.T) {
 // offer (the old LastIndex heuristic panicked on exactly this).
 func TestNoPSKFalsePositive(t *testing.T) {
 	t.Parallel()
-	ch := &clientHello{group: groupIDs["x25519"], sigAlg: sigIDs["rsa:2048"],
-		keyShare: bytes.Repeat([]byte{0x00, 0x29}, 16)}
+	ch := &clientHello{groups: []uint16{groupIDs["x25519"]}, sigAlgs: []uint16{sigIDs["rsa:2048"]},
+		keyShares: []keyShare{{group: groupIDs["x25519"], data: bytes.Repeat([]byte{0x00, 0x29}, 16)}}}
 	ch.random = [32]byte{0x00, 0x29, 0x00, 0x29}
 	msg := ch.marshal()
-	if _, _, _, ok := parsePSKExtension(msg); ok {
-		t.Error("plain ClientHello misdetected as a PSK offer")
-	}
 	// And the tail bytes specifically (the old heuristic's worst case).
 	msg2 := append([]byte{}, msg...)
 	msg2[len(msg2)-2], msg2[len(msg2)-1] = 0x00, 0x29
-	if _, _, _, ok := parsePSKExtension(msg2); ok {
-		t.Error("trailing 0x0029 misdetected as a PSK offer")
+	for _, m := range [][]byte{msg, msg2} {
+		_, body, _, _ := parseHandshakeMsg(m)
+		got, err := parseClientHello(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.psk {
+			t.Error("plain ClientHello misdetected as a PSK offer")
+		}
 	}
 }
 
-// A genuine PSK ClientHello roundtrips through append/parse with a binder
-// that verifies.
+// A genuine PSK ClientHello carries the ticket, and its binder verifies
+// over the partial transcript that parseClientHello locates.
 func TestPSKExtensionRoundtrip(t *testing.T) {
 	t.Parallel()
-	sess := &Session{Ticket: bytes.Repeat([]byte{7}, 40), PSK: bytes.Repeat([]byte{9}, 32)}
-	ch := &clientHello{group: groupIDs["kyber512"], sigAlg: sigIDs["rsa:2048"],
-		keyShare: make([]byte, 800)}
-	msg := appendPSKExtension(ch.marshal(), sess)
-	ticket, binder, partial, ok := parsePSKExtension(msg)
-	if !ok {
+	cliCfg, _ := testConfigs(t, "kyber512", "rsa:2048", BufferImmediate)
+	sess := &Session{Ticket: bytes.Repeat([]byte{7}, 40), PSK: bytes.Repeat([]byte{9}, 32), KEMName: "kyber512"}
+	cliCfg.Session = sess
+	cli, err := NewClient(cliCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flight, err := cli.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := flight[0].Payload
+	_, body, _, _ := parseHandshakeMsg(msg)
+	ch, err := parseClientHello(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ch.psk {
 		t.Fatal("PSK extension not found in PSK ClientHello")
 	}
-	if !bytes.Equal(ticket, sess.Ticket) {
+	if !bytes.Equal(ch.pskIdentity, sess.Ticket) {
 		t.Error("ticket corrupted in transit")
 	}
-	if !bytes.Equal(binder, computeBinder(sess.PSK, partial)) {
+	if !bytes.Equal(ch.pskBinder, computeBinder(sess.PSK, msg[:4+ch.bindersOff])) {
 		t.Error("binder does not verify over the parsed partial transcript")
 	}
 }

@@ -1,7 +1,6 @@
 package tls13
 
 import (
-	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
@@ -10,6 +9,8 @@ import (
 	"io"
 	randv2 "math/rand/v2"
 	"sync/atomic"
+
+	"pqtls/internal/wire"
 )
 
 // TicketStore seals and opens session tickets under one process-wide key and
@@ -103,10 +104,10 @@ func (ts *TicketStore) Seal(psk []byte, kemName string) ([]byte, error) {
 	}
 	// Plaintext is assembled after the nonce and sealed in place: the GCM
 	// output region aliases the plaintext exactly, the supported overlap.
-	buf = append(buf, byte(len(psk)))
-	buf = append(buf, psk...)
-	buf = append(buf, byte(len(kemName)))
-	buf = append(buf, kemName...)
+	b := wire.NewBuilder(buf)
+	b.AddUint8LengthPrefixed(func(b *wire.Builder) { b.AddBytes(psk) })
+	b.AddUint8LengthPrefixed(func(b *wire.Builder) { b.AddBytes([]byte(kemName)) })
+	buf = b.Bytes()
 	out := ts.aead.Seal(buf[:ticketNonceSize], buf[:ticketNonceSize], buf[ticketNonceSize:], nil)
 	sh.issued.Add(1)
 	return out, nil
@@ -131,31 +132,27 @@ func (ts *TicketStore) Open(ticket []byte) (psk []byte, kemName string, err erro
 }
 
 func (ts *TicketStore) open(ticket []byte) (psk []byte, kemName string, err error) {
-	if len(ticket) < ticketNonceSize {
+	s := wire.String(ticket)
+	var nonce []byte
+	if !s.ReadBytes(&nonce, ticketNonceSize) {
 		return nil, "", errors.New("tls13: short ticket")
 	}
-	plain, err := ts.aead.Open(nil, ticket[:ticketNonceSize], ticket[ticketNonceSize:], nil)
+	plain, err := ts.aead.Open(nil, nonce, s, nil)
 	if err != nil {
 		return nil, "", fmt.Errorf("tls13: ticket decryption: %w", err)
 	}
-	r := bytes.NewReader(plain)
-	pskLen, err := r.ReadByte()
-	if err != nil {
-		return nil, "", err
+	return parseTicketState(plain)
+}
+
+// parseTicketState splits a decrypted ticket into its PSK and KEM name. The
+// PSK aliases plain, which each Open decrypts into a fresh buffer.
+func parseTicketState(plain []byte) (psk []byte, kemName string, err error) {
+	s := wire.String(plain)
+	var p, name wire.String
+	if !s.ReadUint8LengthPrefixed(&p) || !s.ReadUint8LengthPrefixed(&name) || !s.Empty() {
+		return nil, "", errors.New("tls13: malformed ticket state")
 	}
-	psk, err = readN(r, int(pskLen))
-	if err != nil {
-		return nil, "", err
-	}
-	nameLen, err := r.ReadByte()
-	if err != nil {
-		return nil, "", err
-	}
-	name, err := readN(r, int(nameLen))
-	if err != nil {
-		return nil, "", err
-	}
-	return psk, string(name), nil
+	return p, string(name), nil
 }
 
 // TicketStats is a point-in-time view of a store's counters.

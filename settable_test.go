@@ -1,6 +1,7 @@
 package pqtls_test
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -115,5 +116,56 @@ func TestSettableValuesRatchet(t *testing.T) {
 	}
 	if got < limit {
 		t.Errorf("settable values shrank to %d: lower testdata/settable_count from %d so the ratchet holds the gain", got, limit)
+	}
+}
+
+// countLines counts the lines of every non-test Go file in the module
+// outside bench/, whose benchmark code is not part of the shipped tree.
+func countLines(t *testing.T) int {
+	t.Helper()
+	lines := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		lines += bytes.Count(data, []byte{'\n'})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
+
+// TestNonTestLinesRatchet holds the committed count of non-test Go lines
+// outside bench/ (testdata/nontest_loc) on the same ratchet as the settable
+// values: a PR that grows the shipped code argues for the new number in
+// review, and one that shrinks it lowers the file in the same change.
+func TestNonTestLinesRatchet(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "nontest_loc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit, err := strconv.Atoi(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatalf("testdata/nontest_loc: %v", err)
+	}
+	got := countLines(t)
+	t.Logf("non-test Go lines outside bench/: %d (committed %d)", got, limit)
+	if got > limit {
+		t.Errorf("non-test Go outside bench/ grew to %d lines, committed count is %d", got, limit)
+	}
+	if got < limit {
+		t.Errorf("non-test Go outside bench/ shrank to %d lines: lower testdata/nontest_loc from %d so the ratchet holds the gain", got, limit)
 	}
 }
