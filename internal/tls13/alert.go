@@ -1,9 +1,9 @@
 package tls13
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"strings"
 
 	"pqtls/internal/wire"
 )
@@ -16,11 +16,13 @@ const (
 	AlertRecordOverflow    uint8 = 22
 	AlertHandshakeFailure  uint8 = 40
 	AlertBadCertificate    uint8 = 42
-	AlertUnknownCA         uint8 = 48
 	AlertIllegalParameter  uint8 = 47
+	AlertUnknownCA         uint8 = 48
+	AlertDecodeError       uint8 = 50
 	AlertDecryptError      uint8 = 51
 	AlertProtocolVersion   uint8 = 70
 	AlertInternalError     uint8 = 80
+	AlertMissingExtension  uint8 = 109
 )
 
 // alertNames renders descriptions for diagnostics.
@@ -31,11 +33,13 @@ var alertNames = map[uint8]string{
 	AlertRecordOverflow:    "record_overflow",
 	AlertHandshakeFailure:  "handshake_failure",
 	AlertBadCertificate:    "bad_certificate",
-	AlertUnknownCA:         "unknown_ca",
 	AlertIllegalParameter:  "illegal_parameter",
+	AlertUnknownCA:         "unknown_ca",
+	AlertDecodeError:       "decode_error",
 	AlertDecryptError:      "decrypt_error",
 	AlertProtocolVersion:   "protocol_version",
 	AlertInternalError:     "internal_error",
+	AlertMissingExtension:  "missing_extension",
 }
 
 // FatalAlert builds the plaintext record an endpoint sends before tearing
@@ -52,10 +56,7 @@ type AlertError struct {
 
 // Error names the alert ("remote alert: bad_certificate (42)").
 func (e *AlertError) Error() string {
-	name, ok := alertNames[e.Description]
-	if !ok {
-		name = "unknown"
-	}
+	name := cmp.Or(alertNames[e.Description], "unknown")
 	return fmt.Sprintf("tls13: remote alert: %s (%d)", name, e.Description)
 }
 
@@ -64,38 +65,34 @@ func parseAlert(rec Record) error {
 	s := wire.String(rec.Payload)
 	var e AlertError
 	if !s.ReadUint8(&e.Level) || !s.ReadUint8(&e.Description) || !s.Empty() {
-		return fmt.Errorf("tls13: malformed alert record")
+		return alertf(AlertDecodeError, "tls13: malformed alert record")
 	}
 	return &e
 }
 
-// alertFor maps a local handshake failure to the alert description the
-// endpoint should send (RFC 8446 §6.2).
-func alertFor(err error) uint8 {
-	if err == nil {
-		return AlertCloseNotify
-	}
-	msg := err.Error()
-	switch {
-	case errors.Is(err, errRecordOverflow):
-		return AlertRecordOverflow
-	case errors.Is(err, errHelloTooLarge):
-		return AlertIllegalParameter
-	case errors.Is(err, errNotOnRecordBoundary):
-		return AlertUnexpectedMessage
-	case contains(msg, "certificate"):
-		return AlertBadCertificate
-	case contains(msg, "decryption failed"), contains(msg, "Finished verification"):
-		return AlertDecryptError
-	case contains(msg, "group"), contains(msg, "sigalg"), contains(msg, "suite"):
-		return AlertHandshakeFailure
-	case contains(msg, "unexpected"), contains(msg, "expected"):
-		return AlertUnexpectedMessage
-	default:
-		return AlertInternalError
-	}
+// alertError is a local handshake failure together with the alert that
+// answers it, chosen where the fault is detected (the table in DESIGN.md,
+// "Alert protocol", lists them with their RFC 8446 sections).
+type alertError struct {
+	desc uint8
+	err  error
 }
 
-func contains(haystack, needle string) bool {
-	return strings.Contains(haystack, needle)
+func (e *alertError) Error() string { return e.err.Error() }
+func (e *alertError) Unwrap() error { return e.err }
+
+// alertf is fmt.Errorf for a failure answered with the alert desc.
+func alertf(desc uint8, format string, args ...any) error {
+	return &alertError{desc: desc, err: fmt.Errorf(format, args...)}
+}
+
+// alertFor returns the alert an endpoint sends for a local handshake
+// failure (RFC 8446 §6.2): the one the failure carries, or internal_error
+// for a failure that names none (key generation, signing, I/O).
+func alertFor(err error) uint8 {
+	var ae *alertError
+	if errors.As(err, &ae) {
+		return ae.desc
+	}
+	return AlertInternalError
 }

@@ -1,12 +1,14 @@
 package tls13
 
 import (
+	"cmp"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"pqtls/internal/kem"
@@ -14,10 +16,6 @@ import (
 	"pqtls/internal/sig"
 	"pqtls/internal/wire"
 )
-
-// zeroBinder is the PSK binder placeholder marshaled before the binder over
-// the partial ClientHello can be computed.
-var zeroBinder [sha256.Size]byte
 
 // Client is a sans-IO TLS 1.3 client handshake. Records are consumed
 // incrementally (per transport arrival), so decapsulation can overlap with
@@ -45,7 +43,6 @@ type Client struct {
 	rawBuf     []byte // plaintext record bytes before ServerHello completes
 	retryOut   []Record
 	retryGroup uint16
-	resuming   bool
 	done       bool
 	helloSent  time.Time // set by ClientHandshake
 
@@ -82,10 +79,7 @@ func (c *Client) Start() ([]Record, error) {
 	if c.ch1Msg != nil {
 		return nil, errors.New("tls13: Start called twice")
 	}
-	rng := c.cfg.Rand
-	if rng == nil {
-		rng = rand.Reader
-	}
+	rng := cmp.Or(c.cfg.Rand, rand.Reader)
 	endPhase := c.cfg.phase(PhaseClientHello)
 	defer endPhase()
 	endKeygen := c.cfg.phase(PhaseKEMKeygen)
@@ -133,51 +127,45 @@ func (c *Client) Start() ([]Record, error) {
 		return nil, err
 	}
 	c.sessionID = ch.sessionID
-	sess := c.cfg.Session
-	if sess != nil {
-		// The binder stays zero until the partial transcript it
-		// authenticates, everything before the binders list, is marshaled.
-		ch.psk, ch.pskIdentity, ch.pskBinder = true, sess.Ticket, zeroBinder[:]
-	}
-	msg := ch.marshal()
-	if sess != nil {
-		copy(msg[len(msg)-sha256.Size:], computeBinder(sess.PSK, msg[:len(msg)-binderSuffixLen]))
-		c.resuming = true
-	}
+	msg := c.marshalHello(ch, nil)
 	c.ch1Msg = msg
 	c.ks.addMessage(msg)
 	return []Record{{Type: RecordHandshake, Payload: msg}}, nil
 }
 
+// marshalHello marshals ch and, when resuming, offers the session's PSK.
+// Its binder authenticates the transcript before ch (prior: nil, or
+// message_hash(CH1) ‖ HelloRetryRequest) and ch up to the binders list
+// (RFC 8446 §4.2.11.2), so it is zero until that prefix is marshaled.
+func (c *Client) marshalHello(ch *clientHello, prior []byte) []byte {
+	sess := c.cfg.Session
+	if sess == nil {
+		return ch.marshal()
+	}
+	ch.psk, ch.pskIdentity, ch.pskBinder = true, sess.Ticket, make([]byte, sha256.Size)
+	msg := ch.marshal()
+	copy(msg[len(msg)-sha256.Size:], computeBinder(sess.PSK, prior, msg[:len(msg)-binderSuffixLen]))
+	return msg
+}
+
 // retryHello answers a HelloRetryRequest: regenerate the key share for the
-// server-selected group and rebuild the ClientHello, restarting the
-// transcript per RFC 8446 §4.4.1.
+// server-selected group and rebuild the ClientHello, re-offering any PSK,
+// with the transcript restarted per RFC 8446 §4.4.1.
 func (c *Client) retryHello(hrrMsg []byte, group uint16) ([]Record, error) {
 	if c.retried {
-		return nil, errors.New("tls13: second HelloRetryRequest")
+		return nil, alertf(AlertUnexpectedMessage, "tls13: second HelloRetryRequest")
 	}
 	c.retried = true
+	// The group must be one offered without a share (RFC 8446 §4.2.8).
 	name, ok := groupName(group)
-	if !ok {
-		return nil, fmt.Errorf("tls13: HRR selected unknown group %#04x", group)
-	}
-	offered := name == c.cfg.KEMName
-	for _, n := range c.cfg.SupportedKEMs {
-		if n == name {
-			offered = true
-		}
-	}
-	if !offered {
-		return nil, fmt.Errorf("tls13: HRR selected unoffered group %s", name)
+	if !ok || name == c.cfg.KEMName || !slices.Contains(c.cfg.SupportedKEMs, name) {
+		return nil, alertf(AlertIllegalParameter, "tls13: HRR selected group %#04x, not offered without a share", group)
 	}
 	k, err := kem.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	rng := c.cfg.Rand
-	if rng == nil {
-		rng = rand.Reader
-	}
+	rng := cmp.Or(c.cfg.Rand, rand.Reader)
 	endCrypto := c.cfg.span(LibCrypto)
 	pub, priv, err := k.GenerateKey(rng)
 	c.cfg.charge(OpKEMKeygen, k.Name())
@@ -203,10 +191,10 @@ func (c *Client) retryHello(hrrMsg []byte, group uint16) ([]Record, error) {
 	if _, err := io.ReadFull(rng, ch.random[:]); err != nil {
 		return nil, err
 	}
-	msg := ch.marshal()
+	prior := append(messageHash(c.ch1Msg), hrrMsg...)
+	msg := c.marshalHello(ch, prior)
 	c.ks = newKeySchedule()
-	c.ks.addMessage(messageHash(c.ch1Msg))
-	c.ks.addMessage(hrrMsg)
+	c.ks.addMessage(prior)
 	c.ks.addMessage(msg)
 	return []Record{{Type: RecordHandshake, Payload: msg}}, nil
 }
@@ -222,7 +210,7 @@ func (c *Client) Consume(records []Record) (out []Record, done bool, err error) 
 			return nil, false, parseAlert(rec)
 		case RecordHandshake:
 			if c.state != stateAwaitSH {
-				return nil, false, errors.New("tls13: unexpected plaintext handshake record")
+				return nil, false, alertf(AlertUnexpectedMessage, "tls13: plaintext handshake record after ServerHello")
 			}
 			c.rawBuf = append(c.rawBuf, rec.Payload...)
 			if err := c.tryProcessServerHello(); err != nil {
@@ -230,7 +218,7 @@ func (c *Client) Consume(records []Record) (out []Record, done bool, err error) 
 			}
 		case RecordApplicationData:
 			if c.state == stateAwaitSH {
-				return nil, false, errors.New("tls13: encrypted record before ServerHello")
+				return nil, false, alertf(AlertUnexpectedMessage, "tls13: encrypted record before ServerHello")
 			}
 			endRead := c.cfg.phase(PhaseRecordRead)
 			endCrypto := c.cfg.span(LibCrypto)
@@ -241,26 +229,22 @@ func (c *Client) Consume(records []Record) (out []Record, done bool, err error) 
 				return nil, false, err
 			}
 			if innerType != RecordHandshake {
-				return nil, false, fmt.Errorf("tls13: unexpected inner type %d", innerType)
+				return nil, false, alertf(AlertUnexpectedMessage, "tls13: inner type %d in server flight", innerType)
 			}
 			c.buf = append(c.buf, plaintext...)
 			if err := c.drainMessages(); err != nil {
 				return nil, false, err
 			}
 		default:
-			return nil, false, fmt.Errorf("tls13: unknown record type %d", rec.Type)
+			return nil, false, alertf(AlertUnexpectedMessage, "tls13: unknown record type %d", rec.Type)
 		}
 	}
 	if c.state == stateDone && !c.done {
 		c.done = true
 		return c.finalFlight()
 	}
-	if c.retryOut != nil {
-		out = c.retryOut
-		c.retryOut = nil
-		return out, false, nil
-	}
-	return nil, false, nil
+	out, c.retryOut = c.retryOut, nil
+	return out, false, nil
 }
 
 // tryProcessServerHello parses the SH once fully buffered and runs the
@@ -278,7 +262,7 @@ func (c *Client) tryProcessServerHello() error {
 	endSSL := c.cfg.span(LibSSL)
 	if typ != typeServerHello {
 		endSSL()
-		return fmt.Errorf("tls13: expected ServerHello, got type %d", typ)
+		return alertf(AlertUnexpectedMessage, "tls13: expected ServerHello, got type %d", typ)
 	}
 	if len(rest) != 0 {
 		endSSL()
@@ -288,6 +272,10 @@ func (c *Client) tryProcessServerHello() error {
 	if err != nil {
 		endSSL()
 		return err
+	}
+	if sh.sessionID != c.sessionID {
+		endSSL()
+		return alertf(AlertIllegalParameter, "tls13: ServerHello does not echo the session id")
 	}
 	full := c.rawBuf
 	c.rawBuf = nil
@@ -307,7 +295,7 @@ func (c *Client) tryProcessServerHello() error {
 	}
 	if sh.group != wantGroup {
 		endSSL()
-		return fmt.Errorf("tls13: server selected group %#04x, want %#04x", sh.group, wantGroup)
+		return alertf(AlertIllegalParameter, "tls13: server selected group %#04x, want %#04x", sh.group, wantGroup)
 	}
 	c.ks.addMessage(full)
 	endSSL()
@@ -319,11 +307,11 @@ func (c *Client) tryProcessServerHello() error {
 	ss, err := c.kem.Decapsulate(c.kemPriv, sh.keyShare)
 	if err != nil {
 		endCrypto()
-		return fmt.Errorf("tls13: decapsulation: %w", err)
+		return alertf(AlertIllegalParameter, "tls13: decapsulation: %w", err)
 	}
 	c.cfg.charge(OpKEMDecaps, c.kem.Name())
 	endDecap()
-	if c.resuming {
+	if c.cfg.Session != nil {
 		// psk_dhe_ke: the early secret absorbs the resumption PSK.
 		c.ks.setEarlySecret(c.cfg.Session.PSK)
 	}
@@ -367,10 +355,10 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 	switch c.state {
 	case stateAwaitEE:
 		if typ != typeEncryptedExts {
-			return fmt.Errorf("tls13: expected EncryptedExtensions, got type %d", typ)
+			return alertf(AlertUnexpectedMessage, "tls13: expected EncryptedExtensions, got type %d", typ)
 		}
 		c.ks.addMessage(full)
-		if c.resuming {
+		if c.cfg.Session != nil {
 			// PSK handshakes carry no Certificate or CertificateVerify.
 			c.state = stateAwaitFin
 		} else {
@@ -380,7 +368,7 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 
 	case stateAwaitCert:
 		if typ != typeCertificate {
-			return fmt.Errorf("tls13: expected Certificate, got type %d", typ)
+			return alertf(AlertUnexpectedMessage, "tls13: expected Certificate, got type %d", typ)
 		}
 		defer c.cfg.phase(PhaseCertVerify)()
 		endSSL := c.cfg.span(LibSSL)
@@ -395,20 +383,20 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 		for i, raw := range rawCerts {
 			cert, err := pki.Unmarshal(raw)
 			if err != nil {
-				return fmt.Errorf("tls13: certificate %d: %w", i, err)
+				return alertf(AlertBadCertificate, "tls13: certificate %d: %w", i, err)
 			}
 			chain[i] = cert
 		}
 		leaf, err := c.cfg.Roots.Verify(chain)
 		if err != nil {
-			return fmt.Errorf("tls13: certificate verification: %w", err)
+			return alertf(AlertBadCertificate, "tls13: certificate verification: %w", err)
 		}
 		// Chain validation runs one signature verification per certificate.
 		for _, cert := range chain {
 			c.cfg.charge(OpSigVerify, cert.Algorithm)
 		}
 		if c.cfg.ServerName != "" && leaf.Subject != c.cfg.ServerName {
-			return fmt.Errorf("tls13: certificate subject %q does not match %q", leaf.Subject, c.cfg.ServerName)
+			return alertf(AlertBadCertificate, "tls13: certificate subject %q does not match %q", leaf.Subject, c.cfg.ServerName)
 		}
 		c.ServerCert = leaf
 		c.ks.addMessage(full)
@@ -417,7 +405,7 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 
 	case stateAwaitCV:
 		if typ != typeCertificateVerify {
-			return fmt.Errorf("tls13: expected CertificateVerify, got type %d", typ)
+			return alertf(AlertUnexpectedMessage, "tls13: expected CertificateVerify, got type %d", typ)
 		}
 		defer c.cfg.phase(PhaseCVVerify)()
 		sigAlg, signature, err := parseCertVerify(body)
@@ -426,7 +414,7 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 		}
 		name, ok := sigName(sigAlg)
 		if !ok || name != c.ServerCert.Algorithm {
-			return fmt.Errorf("tls13: CertificateVerify algorithm %#04x does not match certificate key %q",
+			return alertf(AlertIllegalParameter, "tls13: CertificateVerify algorithm %#04x does not match certificate key %q",
 				sigAlg, c.ServerCert.Algorithm)
 		}
 		scheme, err := sig.ByName(name)
@@ -439,7 +427,7 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 		c.cfg.charge(OpSigVerify, name)
 		endCrypto()
 		if !okSig {
-			return errors.New("tls13: CertificateVerify signature invalid")
+			return alertf(AlertDecryptError, "tls13: CertificateVerify signature invalid")
 		}
 		c.ks.addMessage(full)
 		c.state = stateAwaitFin
@@ -447,21 +435,21 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 
 	case stateAwaitFin:
 		if typ != typeFinished {
-			return fmt.Errorf("tls13: expected Finished, got type %d", typ)
+			return alertf(AlertUnexpectedMessage, "tls13: expected Finished, got type %d", typ)
 		}
 		defer c.cfg.phase(PhaseFinVerify)()
 		endCrypto := c.cfg.span(LibCrypto)
 		want := c.ks.finishedMsg(c.ks.serverHSTraffic[:], c.ks.transcriptHash())
 		endCrypto()
 		if !hmac.Equal(body, want) {
-			return errors.New("tls13: server Finished verification failed")
+			return alertf(AlertDecryptError, "tls13: server Finished verification failed")
 		}
 		c.ks.addMessage(full)
 		c.state = stateDone
 		return nil
 
 	default:
-		return fmt.Errorf("tls13: message type %d in unexpected state %d", typ, c.state)
+		return alertf(AlertUnexpectedMessage, "tls13: message type %d in state %d", typ, c.state)
 	}
 }
 

@@ -202,6 +202,7 @@ func FuzzCertificateParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		certs, err := parseCertificate(data)
 		if err != nil {
+			requireNamedAlert(t, err)
 			return
 		}
 		again, err := parseCertificate(body(marshalCertificate(certs)))
@@ -227,6 +228,7 @@ func FuzzCertVerifyParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		alg, sig, err := parseCertVerify(data)
 		if err != nil {
+			requireNamedAlert(t, err)
 			return
 		}
 		if again := body(marshalCertVerify(alg, sig)); !bytes.Equal(again, data) {
@@ -243,6 +245,7 @@ func FuzzNewSessionTicketParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		nonce, ticket, err := parseNewSessionTicket(data)
 		if err != nil {
+			requireNamedAlert(t, err)
 			return
 		}
 		n2, t2, err := parseNewSessionTicket(body(marshalNewSessionTicket(nonce, ticket)))
@@ -261,6 +264,7 @@ func FuzzTicketStateParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		psk, name, err := parseTicketState(data)
 		if err != nil {
+			requireNamedAlert(t, err)
 			return
 		}
 		b := wire.NewBuilder(nil)
@@ -384,7 +388,7 @@ func TestServerChoosesFromClientLists(t *testing.T) {
 
 // Each parser rejects every truncation of an honest message and the same
 // message with one byte appended: every length prefix is checked, and so
-// is the Empty() at its end.
+// is the Empty() at its end. Each rejection carries decode_error.
 func TestParsersRejectTruncationAndTrailingBytes(t *testing.T) {
 	t.Parallel()
 	tr := honestTranscript(t, "x25519", "ed25519")
@@ -396,30 +400,41 @@ func TestParsersRejectTruncationAndTrailingBytes(t *testing.T) {
 		name  string
 		msg   []byte
 		parse func([]byte) error
+		alert uint8
 	}{
-		{"ClientHello", body(tr.clientHello), func(b []byte) error { _, err := parseClientHello(b); return err }},
-		{"ServerHello", body(tr.serverHello), func(b []byte) error { _, err := parseServerHello(b); return err }},
-		{"Certificate", body(tr.certificate), func(b []byte) error { _, err := parseCertificate(b); return err }},
-		{"CertificateVerify", body(tr.certVerify), func(b []byte) error { _, _, err := parseCertVerify(b); return err }},
-		{"NewSessionTicket", body(tr.ticket), func(b []byte) error { _, _, err := parseNewSessionTicket(b); return err }},
-		{"ticket state", tr.ticketState, func(b []byte) error { _, _, err := parseTicketState(b); return err }},
-		{"pki certificate", certs[0], func(b []byte) error { _, err := pki.Unmarshal(b); return err }},
+		{"ClientHello", body(tr.clientHello), func(b []byte) error { _, err := parseClientHello(b); return err }, AlertDecodeError},
+		{"ServerHello", body(tr.serverHello), func(b []byte) error { _, err := parseServerHello(b); return err }, AlertDecodeError},
+		{"Certificate", body(tr.certificate), func(b []byte) error { _, err := parseCertificate(b); return err }, AlertDecodeError},
+		{"CertificateVerify", body(tr.certVerify), func(b []byte) error { _, _, err := parseCertVerify(b); return err }, AlertDecodeError},
+		{"NewSessionTicket", body(tr.ticket), func(b []byte) error { _, _, err := parseNewSessionTicket(b); return err }, AlertDecodeError},
+		{"ticket state", tr.ticketState, func(b []byte) error { _, _, err := parseTicketState(b); return err }, AlertDecodeError},
+		// pki errors name no alert; the client answers them with
+		// bad_certificate where it calls pki.Unmarshal.
+		{"pki certificate", certs[0], func(b []byte) error { _, err := pki.Unmarshal(b); return err }, AlertInternalError},
 		{"alert", []byte{2, AlertDecryptError}, func(b []byte) error {
-			if _, ok := parseAlert(Record{Type: RecordAlert, Payload: b}).(*AlertError); !ok {
-				return errors.New("malformed")
+			var remote *AlertError
+			if err := parseAlert(Record{Type: RecordAlert, Payload: b}); !errors.As(err, &remote) {
+				return err
 			}
 			return nil
-		}},
+		}, AlertDecodeError},
 	} {
+		rejected := func(b []byte) bool {
+			err := tc.parse(b)
+			if err != nil && alertFor(err) != tc.alert {
+				t.Errorf("%s: %d-byte input rejected with alert %d, want %d (%v)", tc.name, len(b), alertFor(err), tc.alert, err)
+			}
+			return err != nil
+		}
 		if err := tc.parse(tc.msg); err != nil {
 			t.Errorf("%s: honest message rejected: %v", tc.name, err)
 			continue
 		}
-		if tc.parse(append(bytes.Clone(tc.msg), 0)) == nil {
+		if !rejected(append(bytes.Clone(tc.msg), 0)) {
 			t.Errorf("%s: accepted with a trailing byte", tc.name)
 		}
 		for cut := 0; cut < len(tc.msg); cut++ {
-			if tc.parse(tc.msg[:cut]) == nil {
+			if !rejected(tc.msg[:cut]) {
 				t.Errorf("%s: accepted truncated to %d of %d bytes", tc.name, cut, len(tc.msg))
 				break
 			}

@@ -103,7 +103,18 @@ func TestHalfConnOpenRobust(t *testing.T) {
 
 // Native fuzz targets. `go test -fuzz=FuzzX -fuzztime=5s ./internal/tls13`
 // explores beyond the quick.Check coverage above; without -fuzz the seed
-// corpus below runs as a regression test on every `go test`.
+// corpus below runs as a regression test on every `go test`. Besides never
+// panicking, each target's oracle is that a rejection names its alert.
+
+// requireNamedAlert fails the input when its rejection would go out as
+// internal_error or as an alert this stack does not define: a fault in peer
+// bytes names its alert where it is detected.
+func requireNamedAlert(t *testing.T, err error) {
+	t.Helper()
+	if desc := alertFor(err); desc == AlertInternalError || alertNames[desc] == "" {
+		t.Fatalf("rejection carries alert %d: %v", desc, err)
+	}
+}
 
 // fuzzSeedClientHello builds a valid ClientHello body for the seed corpus.
 func fuzzSeedClientHello() []byte {
@@ -130,6 +141,7 @@ func FuzzClientHelloParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ch, err := parseClientHello(data)
 		if err != nil {
+			requireNamedAlert(t, err)
 			return
 		}
 		// Accepted hellos must round-trip through marshal and re-parse:
@@ -153,6 +165,7 @@ func FuzzServerHelloParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sh, err := parseServerHello(data)
 		if err != nil {
+			requireNamedAlert(t, err)
 			return
 		}
 		_, body, rest, ok := parseHandshakeMsg(sh.marshal())
@@ -192,10 +205,10 @@ func FuzzRecordDeprotect(f *testing.F) {
 		// Sequence 0 re-seal of the seed payload is the only valid input;
 		// everything else must error.
 		innerType, plain, err := receiver.open(Record{Type: RecordApplicationData, Payload: payload})
-		if err == nil {
-			if !bytes.Equal(payload, sealed.Payload) {
-				t.Fatalf("forged record accepted: type %d, %q", innerType, plain)
-			}
+		if err != nil {
+			requireNamedAlert(t, err)
+		} else if !bytes.Equal(payload, sealed.Payload) {
+			t.Fatalf("forged record accepted: type %d, %q", innerType, plain)
 		}
 	})
 }

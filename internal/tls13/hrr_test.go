@@ -89,13 +89,15 @@ func TestSecondHRRRejected(t *testing.T) {
 	if _, err := cli.Start(); err != nil {
 		t.Fatal(err)
 	}
-	hrr1 := Record{Type: RecordHandshake, Payload: (&serverHello{group: groupIDs["kyber512"], hrr: true}).marshal()}
+	hrr1 := Record{Type: RecordHandshake, Payload: (&serverHello{sessionID: cli.sessionID, group: groupIDs["kyber512"], hrr: true}).marshal()}
 	if _, _, err := cli.Consume([]Record{hrr1}); err != nil {
 		t.Fatal(err)
 	}
-	hrr2 := Record{Type: RecordHandshake, Payload: (&serverHello{group: groupIDs["p256"], hrr: true}).marshal()}
+	hrr2 := Record{Type: RecordHandshake, Payload: (&serverHello{sessionID: cli.sessionID, group: groupIDs["p256"], hrr: true}).marshal()}
 	if _, _, err := cli.Consume([]Record{hrr2}); err == nil {
 		t.Error("second HRR accepted")
+	} else if alertFor(err) != AlertUnexpectedMessage {
+		t.Errorf("second HRR answered with alert %d, want unexpected_message (10)", alertFor(err))
 	}
 }
 
@@ -121,42 +123,62 @@ func TestHRRUnofferedGroupRejected(t *testing.T) {
 	if _, err := cli.Start(); err != nil {
 		t.Fatal(err)
 	}
-	hrr := Record{Type: RecordHandshake, Payload: (&serverHello{group: groupIDs["bikel1"], hrr: true}).marshal()}
+	hrr := Record{Type: RecordHandshake, Payload: (&serverHello{sessionID: cli.sessionID, group: groupIDs["bikel1"], hrr: true}).marshal()}
 	if _, _, err := cli.Consume([]Record{hrr}); err == nil {
 		t.Error("HRR for unoffered group accepted")
+	} else if alertFor(err) != AlertIllegalParameter {
+		t.Errorf("HRR for unoffered group answered with alert %d, want illegal_parameter (47)", alertFor(err))
 	}
 }
 
 // The full 2-RTT fallback must also work over a real byte stream. Under
 // BufferDefault the post-HRR response is one flush, like the HRR itself, so
-// the server driver must not mistake it for a second retry.
+// the server driver must not mistake it for a second retry. A resuming
+// client re-offers its PSK in the retried ClientHello, with the binder over
+// the restarted transcript (RFC 8446 §4.1.2), and the server resumes.
 func TestHRROverPipe(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
 		sig    string
 		buffer BufferPolicy
+		resume bool
 	}{
-		{"dilithium2", BufferImmediate},
-		{"ed25519", BufferDefault},
+		{"dilithium2", BufferImmediate, false},
+		{"ed25519", BufferDefault, false},
+		{"dilithium2", BufferImmediate, true},
+		{"ed25519", BufferDefault, true},
 	} {
 		cliCfg, srvCfg := testConfigs(t, "kyber512", tc.sig, tc.buffer)
+		if tc.resume {
+			srvCfg.TicketKey = &[ticketKeySize]byte{3}
+			cliCfg.Session = fullHandshakeWithTicket(t, cliCfg, srvCfg)
+		}
 		cliCfg.KEMName = "x25519"
 		cliCfg.SupportedKEMs = []string{"kyber512"}
 		cConn, sConn := net.Pipe()
-		errCh := make(chan error, 1)
+		type result struct {
+			srv *Server
+			err error
+		}
+		srvCh := make(chan result, 1)
 		go func() {
-			_, err := ServerHandshake(sConn, srvCfg)
-			errCh <- err
+			srv, err := ServerHandshake(sConn, srvCfg)
+			srvCh <- result{srv, err}
 		}()
 		cli, err := ClientHandshake(cConn, cliCfg)
 		if err != nil {
-			t.Fatalf("%s: client: %v", tc.sig, err)
+			t.Fatalf("%s (resume %v): client: %v", tc.sig, tc.resume, err)
 		}
-		if err := <-errCh; err != nil {
-			t.Fatalf("%s: server: %v", tc.sig, err)
+		res := <-srvCh
+		if res.err != nil {
+			t.Fatalf("%s (resume %v): server: %v", tc.sig, tc.resume, res.err)
 		}
 		if !cli.Done() {
-			t.Errorf("%s: client not done after HRR over pipe", tc.sig)
+			t.Errorf("%s (resume %v): client not done after HRR over pipe", tc.sig, tc.resume)
+		}
+		if res.srv.ResumedSession() != tc.resume || (cli.ServerCert == nil) != tc.resume {
+			t.Errorf("%s: resumed %v (server certificate sent: %v), want %v",
+				tc.sig, res.srv.ResumedSession(), cli.ServerCert != nil, tc.resume)
 		}
 	}
 }

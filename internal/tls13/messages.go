@@ -1,11 +1,6 @@
 package tls13
 
-import (
-	"errors"
-	"fmt"
-
-	"pqtls/internal/wire"
-)
+import "pqtls/internal/wire"
 
 // Handshake message types.
 const (
@@ -36,7 +31,7 @@ const tls13Version uint16 = 0x0304
 // more handshake bytes in the record that carries it, where a key change
 // must come next (RFC 8446 §5.1): the ClientHello, the ServerHello and the
 // client Finished.
-var errNotOnRecordBoundary = errors.New("tls13: handshake message does not end on a record boundary")
+var errNotOnRecordBoundary = alertf(AlertUnexpectedMessage, "tls13: handshake message does not end on a record boundary")
 
 // handshakeMsg builds one handshake message: the type, a 24-bit length and
 // the body f writes. sizeHint is the expected body size.
@@ -173,19 +168,20 @@ func parseClientHello(body []byte) (*clientHello, error) {
 	if !s.Skip(2) || !s.CopyBytes(ch.random[:]) || !s.ReadUint8LengthPrefixed(&sessionID) ||
 		!s.ReadUint16LengthPrefixed(&suites) || !s.ReadUint8LengthPrefixed(&compression) ||
 		!s.ReadUint16LengthPrefixed(&exts) || !s.Empty() {
-		return nil, errors.New("tls13: malformed ClientHello")
+		return nil, alertf(AlertDecodeError, "tls13: malformed ClientHello")
 	}
 	if !sessionID.CopyBytes(ch.sessionID[:]) || !sessionID.Empty() {
-		return nil, errors.New("tls13: unexpected session id")
+		return nil, alertf(AlertIllegalParameter, "tls13: %d-byte session id, want 32", len(sessionID))
 	}
+	tls13Offered := false
 	for !exts.Empty() {
 		if ch.psk {
-			return nil, errors.New("tls13: unexpected extension after pre_shared_key")
+			return nil, alertf(AlertIllegalParameter, "tls13: extension after pre_shared_key")
 		}
 		var typ uint16
 		var ext wire.String
 		if !exts.ReadUint16(&typ) || !exts.ReadUint16LengthPrefixed(&ext) {
-			return nil, errors.New("tls13: truncated extension")
+			return nil, alertf(AlertDecodeError, "tls13: truncated extension")
 		}
 		ok := true
 		switch typ {
@@ -212,14 +208,10 @@ func parseClientHello(body []byte) (*clientHello, error) {
 		case extSupportedVersions:
 			var list wire.String
 			ok = ext.ReadUint8LengthPrefixed(&list) && len(list)%2 == 0
-			offered := false
 			for ok && !list.Empty() {
 				var v uint16
 				list.ReadUint16(&v)
-				offered = offered || v == tls13Version
-			}
-			if ok && !offered {
-				return nil, errors.New("tls13: client does not offer TLS 1.3")
+				tls13Offered = tls13Offered || v == tls13Version
 			}
 		case extPreSharedKey:
 			var ids, identity, binders, binder wire.String
@@ -232,8 +224,11 @@ func parseClientHello(body []byte) (*clientHello, error) {
 			ext = nil // ignored
 		}
 		if !ok || !ext.Empty() {
-			return nil, fmt.Errorf("tls13: malformed extension %d", typ)
+			return nil, alertf(AlertDecodeError, "tls13: malformed extension %d", typ)
 		}
+	}
+	if !tls13Offered {
+		return nil, alertf(AlertProtocolVersion, "tls13: client does not offer TLS 1.3")
 	}
 	return ch, nil
 }
@@ -290,34 +285,47 @@ func parseServerHello(body []byte) (*serverHello, error) {
 	var compression uint8
 	if !s.Skip(2) || !s.CopyBytes(sh.random[:]) || !s.ReadUint8LengthPrefixed(&sessionID) ||
 		!s.ReadUint16(&suite) || !s.ReadUint8(&compression) || !s.ReadUint16LengthPrefixed(&exts) || !s.Empty() {
-		return nil, errors.New("tls13: malformed ServerHello")
+		return nil, alertf(AlertDecodeError, "tls13: malformed ServerHello")
 	}
+	// The echo of the client's 32-byte legacy_session_id (RFC 8446 §4.1.3).
 	if !sessionID.CopyBytes(sh.sessionID[:]) || !sessionID.Empty() {
-		return nil, errors.New("tls13: unexpected session id")
+		return nil, alertf(AlertIllegalParameter, "tls13: %d-byte session id echo, want 32", len(sessionID))
 	}
 	if suite != cipherAES128GCMSHA256 {
-		return nil, fmt.Errorf("tls13: server chose unsupported suite %#04x", suite)
+		return nil, alertf(AlertIllegalParameter, "tls13: server chose unsupported suite %#04x", suite)
 	}
 	sh.hrr = sh.random == hrrRandom
+	var version uint16
 	hasShare := false
 	for !exts.Empty() {
 		var typ uint16
 		var ext wire.String
 		if !exts.ReadUint16(&typ) || !exts.ReadUint16LengthPrefixed(&ext) {
-			return nil, errors.New("tls13: truncated extension")
+			return nil, alertf(AlertDecodeError, "tls13: truncated extension")
 		}
-		if typ != extKeyShare {
-			continue
+		ok := true
+		switch typ {
+		case extSupportedVersions:
+			ok = ext.ReadUint16(&version)
+		case extKeyShare:
+			var share wire.String
+			ok = ext.ReadUint16(&sh.group) && (sh.hrr || ext.ReadUint16LengthPrefixed(&share))
+			sh.keyShare, hasShare = share, true
+		default:
+			ext = nil // ignored
 		}
-		var share wire.String
-		ok := ext.ReadUint16(&sh.group) && (sh.hrr || ext.ReadUint16LengthPrefixed(&share))
 		if !ok || !ext.Empty() {
-			return nil, errors.New("tls13: malformed key_share")
+			return nil, alertf(AlertDecodeError, "tls13: malformed extension %d", typ)
 		}
-		sh.keyShare, hasShare = share, true
+	}
+	switch { // RFC 8446 §4.2.1
+	case version == 0:
+		return nil, alertf(AlertProtocolVersion, "tls13: ServerHello without supported_versions")
+	case version != tls13Version:
+		return nil, alertf(AlertIllegalParameter, "tls13: server selected version %#04x", version)
 	}
 	if !hasShare {
-		return nil, errors.New("tls13: ServerHello without key_share")
+		return nil, alertf(AlertMissingExtension, "tls13: ServerHello without key_share")
 	}
 	return sh, nil
 }
@@ -343,18 +351,18 @@ func parseCertificate(body []byte) ([][]byte, error) {
 	s := wire.String(body)
 	var context, list wire.String
 	if !s.ReadUint8LengthPrefixed(&context) || !s.ReadUint24LengthPrefixed(&list) || !s.Empty() {
-		return nil, errors.New("tls13: malformed certificate message")
+		return nil, alertf(AlertDecodeError, "tls13: malformed certificate message")
 	}
 	var certs [][]byte
 	for !list.Empty() {
 		var cert, exts wire.String
 		if !list.ReadUint24LengthPrefixed(&cert) || !list.ReadUint16LengthPrefixed(&exts) {
-			return nil, errors.New("tls13: truncated certificate entry")
+			return nil, alertf(AlertDecodeError, "tls13: truncated certificate entry")
 		}
 		certs = append(certs, cert)
 	}
-	if len(certs) == 0 {
-		return nil, errors.New("tls13: empty certificate list")
+	if len(certs) == 0 { // RFC 8446 §4.4.2.4
+		return nil, alertf(AlertDecodeError, "tls13: empty certificate list")
 	}
 	return certs, nil
 }
@@ -371,7 +379,7 @@ func parseCertVerify(body []byte) (sigAlg uint16, signature []byte, err error) {
 	s := wire.String(body)
 	var sig wire.String
 	if !s.ReadUint16(&sigAlg) || !s.ReadUint16LengthPrefixed(&sig) || !s.Empty() {
-		return 0, nil, errors.New("tls13: malformed CertificateVerify")
+		return 0, nil, alertf(AlertDecodeError, "tls13: malformed CertificateVerify")
 	}
 	return sigAlg, sig, nil
 }

@@ -30,8 +30,8 @@ const (
 )
 
 var (
-	errRecordOverflow = errors.New("tls13: record overflow")
-	errHelloTooLarge  = errors.New("tls13: ClientHello too large")
+	errRecordOverflow = alertf(AlertRecordOverflow, "tls13: record overflow")
+	errHelloTooLarge  = alertf(AlertIllegalParameter, "tls13: ClientHello too large")
 )
 
 // WriteRecords marshals records to the stream.
@@ -92,13 +92,10 @@ func ClientHandshake(conn io.ReadWriter, cfg *Config) (*Client, error) {
 		}
 		out, done, err := c.Consume([]Record{rec})
 		if err != nil {
-			if _, isAlert := err.(*AlertError); !isAlert {
-				// Send the alert without blocking the error return: on an
-				// unbuffered transport (net.Pipe) the peer may still be
-				// mid-flight and not yet reading.
-				alert := FatalAlert(alertFor(err))
-				go WriteRecords(conn, []Record{alert})
-			}
+			// Send the alert without blocking the error return: on an
+			// unbuffered transport (net.Pipe) the peer may still be
+			// mid-flight and not yet reading.
+			go abort(conn, err)
 			return nil, err
 		}
 		if len(out) > 0 {
@@ -160,13 +157,10 @@ func ServerHandshake(conn io.ReadWriter, cfg *Config) (*Server, error) {
 			break
 		}
 		if len(flight) == maxClientFlight {
-			return nil, abort(conn, fmt.Errorf("tls13: unexpected: client's final flight exceeds %d records", maxClientFlight))
+			return nil, abort(conn, alertf(AlertUnexpectedMessage, "tls13: client's final flight exceeds %d records", maxClientFlight))
 		}
 	}
 	if err := s.Finish(flight); err != nil {
-		if _, isAlert := err.(*AlertError); isAlert {
-			return nil, err
-		}
 		return nil, abort(conn, err)
 	}
 	return s, nil
@@ -184,7 +178,7 @@ func readHello(conn io.Reader) ([]Record, error) {
 			return nil, err
 		}
 		if rec.Type != RecordHandshake || len(rec.Payload) == 0 {
-			return nil, fmt.Errorf("tls13: unexpected record (type %d, %d bytes) in ClientHello", rec.Type, len(rec.Payload))
+			return nil, alertf(AlertUnexpectedMessage, "tls13: record (type %d, %d bytes) in ClientHello", rec.Type, len(rec.Payload))
 		}
 		if msg == nil {
 			msg = rec.Payload
@@ -203,9 +197,13 @@ func readHello(conn io.Reader) ([]Record, error) {
 	return []Record{{Type: RecordHandshake, Payload: msg}}, nil
 }
 
-// abort sends the fatal alert for err and returns err. After a transport
-// failure the alert's write fails too, harmlessly.
+// abort sends the fatal alert for err and returns err; an alert from the
+// peer is not answered. After a transport failure the alert's write fails
+// too, harmlessly.
 func abort(conn io.Writer, err error) error {
-	WriteRecords(conn, []Record{FatalAlert(alertFor(err))})
+	var remote *AlertError
+	if !errors.As(err, &remote) {
+		WriteRecords(conn, []Record{FatalAlert(alertFor(err))})
+	}
 	return err
 }

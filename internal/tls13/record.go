@@ -71,7 +71,7 @@ func ParseRecord(buf []byte) (Record, []byte, error) {
 	return Record{Type: typ, Payload: bytes.Clone(payload)}, s, nil
 }
 
-var errShortRecord = errors.New("tls13: short record")
+var errShortRecord = alertf(AlertDecodeError, "tls13: short record")
 
 // halfConn is one direction of record protection (AES-128-GCM per the
 // negotiated TLS_AES_128_GCM_SHA256 suite).
@@ -158,7 +158,7 @@ func (hc *halfConn) seal(innerType uint8, plaintext []byte) (Record, error) {
 // valid until the next open on this halfConn.
 func (hc *halfConn) open(rec Record) (uint8, []byte, error) {
 	if rec.Type != RecordApplicationData {
-		return 0, nil, fmt.Errorf("tls13: expected protected record, got type %d", rec.Type)
+		return 0, nil, alertf(AlertUnexpectedMessage, "tls13: expected protected record, got type %d", rec.Type)
 	}
 	if hc.seq == 1<<64-1 {
 		return 0, nil, errSeqExhausted
@@ -170,7 +170,7 @@ func (hc *halfConn) open(rec Record) (uint8, []byte, error) {
 	}
 	inner, err := hc.aead.Open(hc.decBuf[:0], hc.nonceBuf[:], rec.Payload, hc.adBuf[:])
 	if err != nil {
-		return 0, nil, fmt.Errorf("tls13: record decryption failed: %w", err)
+		return 0, nil, alertf(AlertBadRecordMAC, "tls13: record decryption failed: %w", err)
 	}
 	hc.seq++
 	// Strip zero padding, then the inner type byte.
@@ -179,7 +179,7 @@ func (hc *halfConn) open(rec Record) (uint8, []byte, error) {
 		i--
 	}
 	if i < 0 {
-		return 0, nil, errors.New("tls13: all-zero inner plaintext")
+		return 0, nil, alertf(AlertUnexpectedMessage, "tls13: all-zero inner plaintext") // RFC 8446 §5.4
 	}
 	return inner[i], inner[:i], nil
 }

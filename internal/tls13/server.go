@@ -1,6 +1,7 @@
 package tls13
 
 import (
+	"cmp"
 	"crypto/hmac"
 	"crypto/rand"
 	"errors"
@@ -38,6 +39,7 @@ type Server struct {
 	expectedClientFin [32]byte
 	resumptionPSK     []byte
 	hrrSent           bool
+	prior             []byte // message_hash(CH1) ‖ HRR after a retry, under a re-offered PSK's binder
 	done              bool
 }
 
@@ -66,14 +68,11 @@ type timedRecord struct {
 // Respond consumes the ClientHello flight and produces the server's flight,
 // grouped into flushes per the configured BufferPolicy.
 func (s *Server) Respond(records []Record) ([]Flush, error) {
-	if s.ks == nil {
-		return nil, errors.New("tls13: Respond called twice")
+	if s.sendHC != nil {
+		return nil, errors.New("tls13: Respond called after the server flight")
 	}
 	start := s.cfg.now()
-	rng := s.cfg.Rand
-	if rng == nil {
-		rng = rand.Reader
-	}
+	rng := cmp.Or(s.cfg.Rand, rand.Reader)
 
 	// Error paths abandon the open phase: the handshake (and its trace) is
 	// discarded on error, and Hooks implementations tolerate unclosed spans.
@@ -89,11 +88,11 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 	typ, body, rest, ok := parseHandshakeMsg(chMsg)
 	if !ok {
 		endSSL()
-		return nil, errors.New("tls13: truncated ClientHello")
+		return nil, alertf(AlertDecodeError, "tls13: truncated ClientHello")
 	}
 	if typ != typeClientHello {
 		endSSL()
-		return nil, fmt.Errorf("tls13: expected ClientHello, got message type %d", typ)
+		return nil, alertf(AlertUnexpectedMessage, "tls13: expected ClientHello, got message type %d", typ)
 	}
 	if len(rest) != 0 {
 		endSSL()
@@ -120,10 +119,9 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 			s.hrrSent = true
 			// RFC 8446 §4.4.1: the transcript restarts with a synthetic
 			// message_hash of CH1 followed by the HRR.
-			s.ks = newKeySchedule()
-			s.ks.addMessage(messageHash(chMsg))
 			hrr := (&serverHello{sessionID: ch.sessionID, group: wantGroup, hrr: true}).marshal()
-			s.ks.addMessage(hrr)
+			s.prior = append(messageHash(chMsg), hrr...)
+			s.ks.addMessage(s.prior)
 			endSSL()
 			endPhase()
 			return []Flush{{
@@ -132,7 +130,7 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 			}}, nil
 		}
 		endSSL()
-		return nil, fmt.Errorf("tls13: client sent no key share for group %#04x (%s)", wantGroup, s.cfg.KEMName)
+		return nil, alertf(AlertHandshakeFailure, "tls13: client sent no key share for group %#04x (%s)", wantGroup, s.cfg.KEMName)
 	}
 	wantSig, err := SigID(s.cfg.SigName)
 	if err != nil {
@@ -141,7 +139,7 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 	}
 	if !slices.Contains(ch.sigAlgs, wantSig) {
 		endSSL()
-		return nil, fmt.Errorf("tls13: client does not offer sigalg %#04x (%s)", wantSig, s.cfg.SigName)
+		return nil, alertf(AlertHandshakeFailure, "tls13: client does not offer sigalg %#04x (%s)", wantSig, s.cfg.SigName)
 	}
 	endPhase()
 	// PSK resumption: a valid ticket + binder switches to the
@@ -160,11 +158,11 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 		}
 		if kemName != s.cfg.KEMName {
 			endSSL()
-			return nil, fmt.Errorf("tls13: ticket bound to %s, server uses %s", kemName, s.cfg.KEMName)
+			return nil, alertf(AlertHandshakeFailure, "tls13: ticket bound to %s, server uses %s", kemName, s.cfg.KEMName)
 		}
-		if !hmac.Equal(computeBinder(psk, chMsg[:4+ch.bindersOff]), ch.pskBinder) {
+		if !hmac.Equal(computeBinder(psk, s.prior, chMsg[:4+ch.bindersOff]), ch.pskBinder) {
 			endSSL()
-			return nil, errors.New("tls13: PSK binder verification failed")
+			return nil, alertf(AlertDecryptError, "tls13: PSK binder verification failed")
 		}
 		s.resumptionPSK = psk
 		endRedeem()
@@ -178,7 +176,7 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 	ct, ss, err := s.kem.Encapsulate(rng, share)
 	if err != nil {
 		endCrypto()
-		return nil, fmt.Errorf("tls13: encapsulation: %w", err)
+		return nil, alertf(AlertIllegalParameter, "tls13: encapsulation: %w", err)
 	}
 	s.cfg.charge(OpKEMEncaps, s.kem.Name())
 	endCrypto()
@@ -448,28 +446,28 @@ func (s *Server) Finish(records []Record) error {
 				return err
 			}
 			if innerType != RecordHandshake {
-				return fmt.Errorf("tls13: unexpected inner type %d in client flight", innerType)
+				return alertf(AlertUnexpectedMessage, "tls13: inner type %d in client flight", innerType)
 			}
 			typ, body, rest, ok := parseHandshakeMsg(plaintext)
 			if !ok {
-				return errors.New("tls13: truncated client Finished")
+				return alertf(AlertDecodeError, "tls13: truncated client Finished")
 			}
 			if typ != typeFinished {
-				return fmt.Errorf("tls13: expected client Finished, got type %d", typ)
+				return alertf(AlertUnexpectedMessage, "tls13: expected client Finished, got type %d", typ)
 			}
 			if len(rest) != 0 {
 				return errNotOnRecordBoundary
 			}
 			if !hmac.Equal(body, s.expectedClientFin[:]) {
-				return errors.New("tls13: client Finished verification failed")
+				return alertf(AlertDecryptError, "tls13: client Finished verification failed")
 			}
 			finished = true
 		default:
-			return fmt.Errorf("tls13: unexpected record type %d in client flight", rec.Type)
+			return alertf(AlertUnexpectedMessage, "tls13: record type %d in client flight", rec.Type)
 		}
 	}
 	if !finished {
-		return errors.New("tls13: client flight missing Finished")
+		return alertf(AlertUnexpectedMessage, "tls13: client flight missing Finished")
 	}
 	s.done = true
 	return nil

@@ -102,7 +102,7 @@ func (c *Client) ProcessTicket(records []Record) (*Session, error) {
 		}
 		typ, body, _, ok := parseHandshakeMsg(plaintext)
 		if !ok {
-			return nil, errors.New("tls13: truncated handshake message")
+			return nil, alertf(AlertDecodeError, "tls13: truncated handshake message")
 		}
 		if typ != typeNewSessionTicket {
 			continue
@@ -139,7 +139,7 @@ func parseNewSessionTicket(body []byte) (nonce, ticket []byte, err error) {
 	if !s.Skip(8) || // ticket_lifetime, ticket_age_add
 		!s.ReadUint8LengthPrefixed(&n) || !s.ReadUint16LengthPrefixed(&t) ||
 		!s.ReadUint16LengthPrefixed(&exts) || !s.Empty() {
-		return nil, nil, errors.New("tls13: malformed NewSessionTicket")
+		return nil, nil, alertf(AlertDecodeError, "tls13: malformed NewSessionTicket")
 	}
 	return n, t, nil
 }
@@ -150,10 +150,14 @@ func binderKey(psk []byte) []byte {
 	return deriveSecret(early, "res binder", emptyHash())
 }
 
-// computeBinder is the HMAC over the partial ClientHello transcript.
-func computeBinder(psk, partialCH []byte) []byte {
-	th := sha256.Sum256(partialCH)
-	return finishedMAC(binderKey(psk), th[:])
+// computeBinder is the HMAC over the transcript through the partial
+// ClientHello: prior is what precedes it (nil, or message_hash(CH1) ‖
+// HelloRetryRequest after a retry).
+func computeBinder(psk, prior, partialCH []byte) []byte {
+	h := sha256.New()
+	h.Write(prior)
+	h.Write(partialCH)
+	return finishedMAC(binderKey(psk), h.Sum(nil))
 }
 
 // binderSuffixLen is the wire size of the binders list we emit: 2-byte list

@@ -229,7 +229,7 @@ func TestPSKExtensionRoundtrip(t *testing.T) {
 	if !bytes.Equal(ch.pskIdentity, sess.Ticket) {
 		t.Error("ticket corrupted in transit")
 	}
-	if !bytes.Equal(ch.pskBinder, computeBinder(sess.PSK, msg[:4+ch.bindersOff])) {
+	if !bytes.Equal(ch.pskBinder, computeBinder(sess.PSK, nil, msg[:4+ch.bindersOff])) {
 		t.Error("binder does not verify over the parsed partial transcript")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/cipher"
 	"crypto/rand"
 	"errors"
-	"fmt"
 	"io"
 	randv2 "math/rand/v2"
 	"sync/atomic"
@@ -135,11 +134,11 @@ func (ts *TicketStore) open(ticket []byte) (psk []byte, kemName string, err erro
 	s := wire.String(ticket)
 	var nonce []byte
 	if !s.ReadBytes(&nonce, ticketNonceSize) {
-		return nil, "", errors.New("tls13: short ticket")
+		return nil, "", alertf(AlertDecodeError, "tls13: short ticket")
 	}
 	plain, err := ts.aead.Open(nil, nonce, s, nil)
 	if err != nil {
-		return nil, "", fmt.Errorf("tls13: ticket decryption: %w", err)
+		return nil, "", alertf(AlertDecryptError, "tls13: ticket decryption: %w", err)
 	}
 	return parseTicketState(plain)
 }
@@ -150,7 +149,7 @@ func parseTicketState(plain []byte) (psk []byte, kemName string, err error) {
 	s := wire.String(plain)
 	var p, name wire.String
 	if !s.ReadUint8LengthPrefixed(&p) || !s.ReadUint8LengthPrefixed(&name) || !s.Empty() {
-		return nil, "", errors.New("tls13: malformed ticket state")
+		return nil, "", alertf(AlertDecodeError, "tls13: malformed ticket state")
 	}
 	return p, string(name), nil
 }

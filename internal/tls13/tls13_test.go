@@ -2,6 +2,7 @@ package tls13
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -469,28 +470,12 @@ func TestAlertOnBadCertificate(t *testing.T) {
 	}
 	err = <-srvErr
 	var alert *AlertError
-	if !errorsAs(err, &alert) {
+	if !errors.As(err, &alert) {
 		t.Fatalf("server error %v, want AlertError", err)
 	}
 	if alert.Description != AlertBadCertificate {
 		t.Errorf("alert %d, want bad_certificate (42)", alert.Description)
 	}
-}
-
-func errorsAs(err error, target **AlertError) bool {
-	for err != nil {
-		if a, ok := err.(*AlertError); ok {
-			*target = a
-			return true
-		}
-		type unwrapper interface{ Unwrap() error }
-		u, ok := err.(unwrapper)
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 func TestAlertRecord(t *testing.T) {
@@ -523,6 +508,17 @@ func TestOutOfOrderCalls(t *testing.T) {
 				t.Fatalf("first Start: %v", err)
 			}
 			_, err := cli.Start()
+			return err
+		}},
+		{"Server.Respond after the server flight", func(cli *Client, srv *Server) error {
+			hello, err := cli.Start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srv.Respond(hello); err != nil {
+				t.Fatalf("first Respond: %v", err)
+			}
+			_, err = srv.Respond(hello)
 			return err
 		}},
 	}

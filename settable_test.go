@@ -119,9 +119,10 @@ func TestSettableValuesRatchet(t *testing.T) {
 	}
 }
 
-// countLines counts the lines of every non-test Go file in the module
-// outside bench/, whose benchmark code is not part of the shipped tree.
-func countLines(t *testing.T) int {
+// countLines counts the lines of every non-test file with the given suffix
+// (".go", ".s") in the module outside bench/, whose benchmark code is not
+// part of the shipped tree.
+func countLines(t *testing.T, suffix string) int {
 	t.Helper()
 	lines := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -134,7 +135,7 @@ func countLines(t *testing.T) int {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, suffix) || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		data, err := os.ReadFile(path)
@@ -147,25 +148,34 @@ func countLines(t *testing.T) int {
 	return lines
 }
 
-// TestNonTestLinesRatchet holds the committed count of non-test Go lines
-// outside bench/ (testdata/nontest_loc) on the same ratchet as the settable
-// values: a PR that grows the shipped code argues for the new number in
-// review, and one that shrinks it lowers the file in the same change.
-func TestNonTestLinesRatchet(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "nontest_loc"))
+// checkLineRatchet holds the lines of non-test files with suffix to the
+// count committed in testdata/name: a PR that grows the shipped code argues
+// for the new number in review, and one that shrinks it lowers the file in
+// the same change.
+func checkLineRatchet(t *testing.T, name, suffix string) {
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	limit, err := strconv.Atoi(strings.TrimSpace(string(raw)))
 	if err != nil {
-		t.Fatalf("testdata/nontest_loc: %v", err)
+		t.Fatalf("testdata/%s: %v", name, err)
 	}
-	got := countLines(t)
-	t.Logf("non-test Go lines outside bench/: %d (committed %d)", got, limit)
+	got := countLines(t, suffix)
+	t.Logf("non-test %s lines outside bench/: %d (committed %d)", suffix, got, limit)
 	if got > limit {
-		t.Errorf("non-test Go outside bench/ grew to %d lines, committed count is %d", got, limit)
+		t.Errorf("non-test %s outside bench/ grew to %d lines, committed count is %d", suffix, got, limit)
 	}
 	if got < limit {
-		t.Errorf("non-test Go outside bench/ shrank to %d lines: lower testdata/nontest_loc from %d so the ratchet holds the gain", got, limit)
+		t.Errorf("non-test %s outside bench/ shrank to %d lines: lower testdata/%s from %d so the ratchet holds the gain", suffix, got, name, limit)
 	}
 }
+
+// TestNonTestLinesRatchet holds the non-test Go lines outside bench/ on the
+// same ratchet as the settable values (testdata/nontest_loc).
+func TestNonTestLinesRatchet(t *testing.T) { checkLineRatchet(t, "nontest_loc", ".go") }
+
+// TestAssemblyLinesRatchet holds the assembly kernels outside bench/ to
+// testdata/asm_loc, so a hand-written kernel grows the shipped code as
+// visibly as Go does.
+func TestAssemblyLinesRatchet(t *testing.T) { checkLineRatchet(t, "asm_loc", ".s") }
