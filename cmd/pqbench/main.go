@@ -437,24 +437,35 @@ func runCapture(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	pw, err := nettap.NewPcapWriter(f)
+	res, err := writeCapture(f, kemName, sigName)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return err
+	}
+	fmt.Printf("wrote %s: %d packets, handshake %s ms (evaluate with pqtls-eval)\n",
+		name, res.ClientPackets+res.ServerPackets, ms(res.Phases.Total()))
+	return nil
+}
+
+// writeCapture runs the capture handshake of one suite (seed 1, testbed
+// link, immediate buffering) and writes its libpcap capture to w. The
+// handshake is a function of those inputs, so the bytes are the same in
+// every process.
+func writeCapture(w io.Writer, kemName, sigName string) (*harness.HandshakeResult, error) {
+	pw, err := nettap.NewPcapWriter(w)
+	if err != nil {
+		return nil, err
 	}
 	res, err := harness.RunHandshake(harness.RunOptions{
 		KEM: kemName, Sig: sigName, Link: harness.ScenarioTestbed,
 		Buffer: tls13.BufferImmediate, Seed: 1, Pcap: pw,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if pw.Err() != nil {
-		return pw.Err()
-	}
-	fmt.Printf("wrote %s: %d packets, handshake %s ms (evaluate with pqtls-eval)\n",
-		name, res.ClientPackets+res.ServerPackets, ms(res.Phases.Total()))
-	return nil
+	return res, pw.Err()
 }
 
 func runResumption(cfg harness.SweepConfig) error {

@@ -2,9 +2,10 @@ package mldsa
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"testing"
+
+	"pqtls/internal/drbg"
 )
 
 // Known-answer regression tests in the NIST KAT style: a deterministic DRBG
@@ -15,32 +16,12 @@ import (
 // ML-DSA vectors do not apply); they lock the algorithm against unintended
 // changes — any refactor that alters a single output byte fails here.
 
-// katDRBG is SHA-256 in counter mode over a seed — the same construction as
-// the mlkem KAT harness, standing in for the NIST randombytes().
-type katDRBG struct {
-	seed [32]byte
-	ctr  uint64
-	buf  []byte
-}
-
-func newKATDRBG(seed string) *katDRBG {
-	d := &katDRBG{}
-	copy(d.seed[:], seed)
-	return d
-}
-
-func (d *katDRBG) Read(p []byte) (int, error) {
-	for len(d.buf) < len(p) {
-		var block [40]byte
-		copy(block[:32], d.seed[:])
-		binary.BigEndian.PutUint64(block[32:], d.ctr)
-		d.ctr++
-		sum := sha256.Sum256(block[:])
-		d.buf = append(d.buf, sum[:]...)
-	}
-	n := copy(p, d.buf)
-	d.buf = d.buf[n:]
-	return n, nil
+// katStream stands in for the NIST randombytes(): the module's DRBG keyed
+// by the zero-padded seed.
+func katStream(seed string) *drbg.Reader {
+	var s [32]byte
+	copy(s[:], seed)
+	return drbg.New(s)
 }
 
 func hexDigest(b []byte) string {
@@ -82,8 +63,8 @@ var dilithium3KATs = []mldsaKAT{
 func TestDilithium3KAT(t *testing.T) {
 	t.Parallel()
 	for i, kat := range dilithium3KATs {
-		drbg := newKATDRBG(kat.seed)
-		pk, sk, err := Dilithium3.GenerateKey(drbg)
+		rng := katStream(kat.seed)
+		pk, sk, err := Dilithium3.GenerateKey(rng)
 		if err != nil {
 			t.Fatalf("vector %d: keygen: %v", i, err)
 		}
@@ -114,8 +95,8 @@ func TestDilithium3KAT(t *testing.T) {
 func TestDilithium3KATForgery(t *testing.T) {
 	t.Parallel()
 	kat := dilithium3KATs[0]
-	drbg := newKATDRBG(kat.seed)
-	pk, sk, err := Dilithium3.GenerateKey(drbg)
+	rng := katStream(kat.seed)
+	pk, sk, err := Dilithium3.GenerateKey(rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,10 @@ package mlkem
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"testing"
+
+	"pqtls/internal/drbg"
 )
 
 // Known-answer regression tests in the NIST KAT style: a deterministic DRBG
@@ -16,32 +17,12 @@ import (
 // the algorithm against unintended changes — any refactor that alters a
 // single output byte fails the digest comparison.
 
-// katDRBG is a deterministic byte stream: SHA-256 in counter mode over a
-// seed, mirroring the role of randombytes() in the NIST KAT harness.
-type katDRBG struct {
-	seed [32]byte
-	ctr  uint64
-	buf  []byte
-}
-
-func newKATDRBG(seed string) *katDRBG {
-	d := &katDRBG{}
-	copy(d.seed[:], seed)
-	return d
-}
-
-func (d *katDRBG) Read(p []byte) (int, error) {
-	for len(d.buf) < len(p) {
-		var block [40]byte
-		copy(block[:32], d.seed[:])
-		binary.BigEndian.PutUint64(block[32:], d.ctr)
-		d.ctr++
-		sum := sha256.Sum256(block[:])
-		d.buf = append(d.buf, sum[:]...)
-	}
-	n := copy(p, d.buf)
-	d.buf = d.buf[n:]
-	return n, nil
+// katStream stands in for the NIST randombytes(): the module's DRBG keyed
+// by the zero-padded seed.
+func katStream(seed string) *drbg.Reader {
+	var s [32]byte
+	copy(s[:], seed)
+	return drbg.New(s)
 }
 
 func digest(parts ...[]byte) string {
@@ -85,12 +66,12 @@ var kyber768KATs = []mlkemKAT{
 func TestKyber768KAT(t *testing.T) {
 	t.Parallel()
 	for i, kat := range kyber768KATs {
-		drbg := newKATDRBG(kat.seed)
-		pk, sk, err := Kyber768.GenerateKey(drbg)
+		rng := katStream(kat.seed)
+		pk, sk, err := Kyber768.GenerateKey(rng)
 		if err != nil {
 			t.Fatalf("vector %d: keygen: %v", i, err)
 		}
-		ct, ss, err := Kyber768.Encapsulate(drbg, pk)
+		ct, ss, err := Kyber768.Encapsulate(rng, pk)
 		if err != nil {
 			t.Fatalf("vector %d: encaps: %v", i, err)
 		}
@@ -121,12 +102,12 @@ func TestKyber768KAT(t *testing.T) {
 // secret, never an error or the true secret.
 func TestKyber768KATTamper(t *testing.T) {
 	t.Parallel()
-	drbg := newKATDRBG(kyber768KATs[0].seed)
-	pk, sk, err := Kyber768.GenerateKey(drbg)
+	rng := katStream(kyber768KATs[0].seed)
+	pk, sk, err := Kyber768.GenerateKey(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, ss, err := Kyber768.Encapsulate(drbg, pk)
+	ct, ss, err := Kyber768.Encapsulate(rng, pk)
 	if err != nil {
 		t.Fatal(err)
 	}

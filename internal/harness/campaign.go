@@ -77,11 +77,9 @@ func normalizeCampaign(opts *CampaignOptions) {
 // entire simulation state (link, TCP, tap, endpoints, meters), so samples
 // are safe to run concurrently.
 func runCampaignSample(opts CampaignOptions, i int) (*HandshakeResult, error) {
-	seed := opts.Seed + int64(i)*7919
 	return RunHandshake(RunOptions{
 		KEM: opts.KEM, Sig: opts.Sig, Link: opts.Link, Buffer: opts.Buffer,
-		Seed:       seed,
-		Rand:       newSampleDRBG(opts.KEM, opts.Sig, opts.Link.Name, seed),
+		Seed:       opts.Seed + int64(i)*7919,
 		CWND:       opts.CWND,
 		ChainDepth: opts.ChainDepth,
 		Resume:     opts.Resume,

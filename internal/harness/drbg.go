@@ -1,30 +1,19 @@
 package harness
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
+
+	"pqtls/internal/drbg"
 )
 
-// sampleDRBG is SHA-256 in counter mode: a deterministic replacement for
-// crypto/rand scoped to one campaign sample. Every sample derives its
-// stream from its (suite, scenario, seed) coordinate, so endpoint
-// randomness — key shares, nonces, and the variable-length randomized
-// signatures (ECDSA, RSA-PSS) that otherwise jitter flight sizes by a few
-// bytes — is reproducible regardless of worker scheduling or process
-// lifetime. This is what keeps regenerated tables byte-identical between
-// -workers 1 and -workers 8. The harness measures performance over an
-// emulated network; it is not a production TLS endpoint, so deterministic
-// randomness is a feature here, not a vulnerability.
-type sampleDRBG struct {
-	seed [32]byte
-	ctr  uint64
-	buf  []byte
-}
-
-// newSampleDRBG derives a stream from the sample's campaign coordinate.
-func newSampleDRBG(kem, sig, link string, seed int64) *sampleDRBG {
-	return newDRBG(fmt.Sprintf("pqtls-sample|%s|%s|%s|%d", kem, sig, link, seed))
+// newSampleDRBG derives the stream that seeds both endpoints of one
+// simulated handshake from its (suite, link, seed) coordinate, so key
+// shares, nonces and ECDSA's variable-length signatures are the same for
+// any worker count and in any process. The harness is not a production TLS
+// endpoint, so deterministic randomness is a feature here, not a
+// vulnerability.
+func newSampleDRBG(kem, sig, link string, seed int64) *drbg.Reader {
+	return drbg.Derive(fmt.Sprintf("pqtls-sample|%s|%s|%s|%d", kem, sig, link, seed))
 }
 
 // newCredentialDRBG derives the stream that keys one credential-cache
@@ -32,28 +21,6 @@ func newSampleDRBG(kem, sig, link string, seed int64) *sampleDRBG {
 // package's derandomized signing) makes certificate chains identical from
 // process to process, so regenerated tables cannot pick up per-run
 // signature-length jitter from the chain.
-func newCredentialDRBG(sigName string, depth int) *sampleDRBG {
-	return newDRBG(fmt.Sprintf("pqtls-credentials|%s|%d", sigName, depth))
-}
-
-func newDRBG(label string) *sampleDRBG {
-	h := sha256.New()
-	h.Write([]byte(label))
-	d := &sampleDRBG{}
-	h.Sum(d.seed[:0])
-	return d
-}
-
-func (d *sampleDRBG) Read(p []byte) (int, error) {
-	for len(d.buf) < len(p) {
-		var block [40]byte
-		copy(block[:32], d.seed[:])
-		binary.BigEndian.PutUint64(block[32:], d.ctr)
-		d.ctr++
-		sum := sha256.Sum256(block[:])
-		d.buf = append(d.buf, sum[:]...)
-	}
-	n := copy(p, d.buf)
-	d.buf = d.buf[n:]
-	return n, nil
+func newCredentialDRBG(sigName string, depth int) *drbg.Reader {
+	return drbg.Derive(fmt.Sprintf("pqtls-credentials|%s|%d", sigName, depth))
 }

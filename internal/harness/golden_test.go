@@ -2,93 +2,14 @@ package harness
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
-
-	"pqtls/internal/nettap"
-	"pqtls/internal/tls13"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
-
-// testDRBG is SHA-256 in counter mode — a deterministic stand-in for
-// crypto/rand so two handshakes draw identical randomness.
-type testDRBG struct {
-	seed [32]byte
-	ctr  uint64
-	buf  []byte
-}
-
-func newTestDRBG(seed string) *testDRBG {
-	d := &testDRBG{}
-	copy(d.seed[:], seed)
-	return d
-}
-
-func (d *testDRBG) Read(p []byte) (int, error) {
-	for len(d.buf) < len(p) {
-		var block [40]byte
-		copy(block[:32], d.seed[:])
-		binary.BigEndian.PutUint64(block[32:], d.ctr)
-		d.ctr++
-		sum := sha256.Sum256(block[:])
-		d.buf = append(d.buf, sum[:]...)
-	}
-	n := copy(p, d.buf)
-	d.buf = d.buf[n:]
-	return n, nil
-}
-
-// capturePcap runs one handshake with a seeded random stream and returns the
-// raw pcap bytes of the capture.
-func capturePcap(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	pw, err := nettap.NewPcapWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// kyber512/dilithium2: both have deterministic signing/encaps given the
-	// seeded stream (RSA-PSS and ECDSA would inject signature-size jitter).
-	_, err = RunHandshake(RunOptions{
-		KEM: "kyber512", Sig: "dilithium2", Link: ScenarioTestbed,
-		Buffer: tls13.BufferImmediate, Seed: 7, Pcap: pw,
-		Rand: newTestDRBG("pcap-determinism-seed"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pw.Err() != nil {
-		t.Fatal(pw.Err())
-	}
-	return buf.Bytes()
-}
-
-// TestHandshakePcapDeterministic pins the full wire transcript: with a
-// seeded random stream and modeled timing, two handshakes must produce
-// byte-identical pcap captures — every TCP segment, TLS record and virtual
-// timestamp included. This is the capture-level analogue of the CSV
-// determinism guarantee.
-func TestHandshakePcapDeterministic(t *testing.T) {
-	t.Parallel()
-	first := capturePcap(t)
-	second := capturePcap(t)
-	if !bytes.Equal(first, second) {
-		t.Errorf("two seeded handshake captures differ (%d vs %d bytes)", len(first), len(second))
-	}
-	frames, _, err := nettap.ReadPcap(bytes.NewReader(first))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) < 8 {
-		t.Errorf("capture has only %d frames, want a full handshake", len(frames))
-	}
-}
 
 // TestRenderTable2Golden pins the human-readable table rendering (column
 // set, alignment, number formatting) against a checked-in golden file.

@@ -14,7 +14,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -217,11 +216,6 @@ type RunOptions struct {
 	// outside the simulation to obtain a session ticket, then the resumed
 	// handshake is measured.
 	Resume bool
-	// Rand, when non-nil, seeds both endpoints' randomness. Campaigns
-	// always set it (a per-sample DRBG), pinning the variable-length
-	// randomized signatures that would otherwise jitter flight sizes and
-	// break byte-identical table regeneration across worker counts.
-	Rand io.Reader
 	// Trace, when non-nil, collects per-endpoint span traces of the
 	// measured handshake (not of the un-simulated ticket-priming handshake
 	// under Resume). Spans read each endpoint's virtual meter time.
@@ -262,12 +256,11 @@ func RunHandshake(opts RunOptions) (*HandshakeResult, error) {
 		SupportedKEMs: opts.ClientSupported,
 		Roots:         creds.roots,
 	}
-	if opts.Rand != nil {
-		// One shared stream: the sans-IO drive below is single-threaded, so
-		// both endpoints consume it in a deterministic order.
-		cliCfg.Rand = opts.Rand
-		srvCfg.Rand = opts.Rand
-	}
+	// One stream, derived from the run's coordinate, seeds both endpoints:
+	// the sans-IO drive below is single-threaded, so they consume it in a
+	// deterministic order and the handshake is a function of opts alone.
+	rng := newSampleDRBG(opts.KEM, opts.Sig, opts.Link.Name, opts.Seed)
+	cliCfg.Rand, srvCfg.Rand = rng, rng
 	// Per-party compute clocks: each endpoint gets its own CostMeter and
 	// every compute span below reads meter deltas instead of the wall clock,
 	// making the whole simulation jitter-free.

@@ -60,11 +60,9 @@ func RunPhases(opts PhasesOptions) (*PhasesReport, error) {
 	col := &obs.Collector{}
 	var totals, cliSums []time.Duration
 	for i := 0; i < opts.Samples; i++ {
-		seed := opts.Seed + int64(i)*7919
 		res, err := RunHandshake(RunOptions{
 			KEM: opts.KEM, Sig: opts.Sig, Link: opts.Link, Buffer: opts.Buffer,
-			Seed:        seed,
-			Rand:        newSampleDRBG(opts.KEM, opts.Sig, opts.Link.Name, seed),
+			Seed:        opts.Seed + int64(i)*7919,
 			Resume:      opts.Resume,
 			Trace:       col,
 			TraceSample: i,

@@ -6,7 +6,8 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
-	"math/big"
+
+	"pqtls/internal/drbg"
 )
 
 // ecdhKEM adapts a crypto/ecdh curve to the KEM interface: encapsulation
@@ -79,17 +80,11 @@ func deterministicECDHKey(curve ecdh.Curve, rng io.Reader) (*ecdh.PrivateKey, er
 	default:
 		return nil, fmt.Errorf("kem: no deterministic keygen for curve %v", curve)
 	}
-	// Reduce an oversized draw into [1, N-1]; the eight extra bytes make
-	// the reduction's bias negligible.
-	n := params.N
-	buf := make([]byte, (n.BitLen()+7)/8+8)
-	if _, err := io.ReadFull(rng, buf); err != nil {
+	d, err := drbg.Scalar(rng, params.N)
+	if err != nil {
 		return nil, err
 	}
-	d := new(big.Int).SetBytes(buf)
-	d.Mod(d, new(big.Int).Sub(n, big.NewInt(1)))
-	d.Add(d, big.NewInt(1))
-	return curve.NewPrivateKey(d.FillBytes(make([]byte, (n.BitLen()+7)/8)))
+	return curve.NewPrivateKey(d.FillBytes(make([]byte, (params.N.BitLen()+7)/8)))
 }
 
 func (e *ecdhKEM) Encapsulate(rng io.Reader, pub []byte) (ct, ss []byte, err error) {

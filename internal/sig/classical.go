@@ -14,6 +14,8 @@ import (
 	"io"
 	"math/big"
 	"sync"
+
+	"pqtls/internal/drbg"
 )
 
 // rsaScheme is RSA-PSS with SHA-256, the RSA mode of TLS 1.3.
@@ -21,34 +23,14 @@ type rsaScheme struct {
 	name  string
 	bits  int
 	level int
+	// cachedKey is the one key of this size for callers with no reader: a
+	// fixed certificate per run, as in the paper, not keygen per handshake.
+	cachedKey func() (*rsa.PrivateKey, error)
 }
 
-// rsaKeyCache holds one long-lived key per modulus size. The paper's server
-// certificates are fixed per run; regenerating a 4096-bit modulus per
-// handshake would measure keygen, not TLS. Each size is a singleflight
-// entry: concurrent first callers for one modulus size block on that
-// entry's Once while other sizes proceed independently.
-type rsaKeyEntry struct {
-	once sync.Once
-	key  *rsa.PrivateKey
-	err  error
-}
-
-var rsaKeyCache = struct {
-	mu sync.Mutex
-	m  map[int]*rsaKeyEntry
-}{m: map[int]*rsaKeyEntry{}}
-
-func cachedRSAKey(bits int) (*rsa.PrivateKey, error) {
-	rsaKeyCache.mu.Lock()
-	e, ok := rsaKeyCache.m[bits]
-	if !ok {
-		e = &rsaKeyEntry{}
-		rsaKeyCache.m[bits] = e
-	}
-	rsaKeyCache.mu.Unlock()
-	e.once.Do(func() { e.key, e.err = rsa.GenerateKey(rand.Reader, bits) })
-	return e.key, e.err
+func newRSAScheme(name string, bits, level int) *rsaScheme {
+	return &rsaScheme{name: name, bits: bits, level: level,
+		cachedKey: sync.OnceValues(func() (*rsa.PrivateKey, error) { return rsa.GenerateKey(rand.Reader, bits) })}
 }
 
 func (r *rsaScheme) Name() string { return r.name }
@@ -64,9 +46,9 @@ func (r *rsaScheme) SignatureSize() int { return r.bits / 8 }
 func (r *rsaScheme) GenerateKey(rng io.Reader) (pub, priv []byte, err error) {
 	var key *rsa.PrivateKey
 	if rng == nil {
-		key, err = cachedRSAKey(r.bits)
+		key, err = r.cachedKey()
 	} else {
-		key, err = rsa.GenerateKey(rng, r.bits)
+		key, err = deterministicRSAKey(r.bits, rng)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("sig %s: keygen: %w", r.name, err)
@@ -76,6 +58,54 @@ func (r *rsaScheme) GenerateKey(rng io.Reader) (pub, priv []byte, err error) {
 		return nil, nil, fmt.Errorf("sig %s: marshal public key: %w", r.name, err)
 	}
 	return pub, x509.MarshalPKCS1PrivateKey(key), nil
+}
+
+// deterministicRSAKey derives a test-credential key pair that is a function
+// of the bytes read from rng; rsa.GenerateKey reads a byte of the stream at
+// random per prime candidate (randutil.MaybeReadByte). Each prime is the
+// first odd candidate with its top two bits set (so the modulus has exactly
+// bits bits) that passes ProbablyPrime(20), deterministic for a given input,
+// and has p-1 coprime to e = 65537.
+func deterministicRSAKey(bits int, rng io.Reader) (*rsa.PrivateKey, error) {
+	const e = 65537
+	bigE, one := big.NewInt(e), big.NewInt(1)
+	prime := func(pbits int) (*big.Int, error) {
+		buf := make([]byte, (pbits+7)/8)
+		for {
+			if _, err := io.ReadFull(rng, buf); err != nil {
+				return nil, err
+			}
+			p := new(big.Int).SetBytes(buf)
+			p.Rsh(p, uint(8*len(buf)-pbits))
+			p.SetBit(p, pbits-1, 1)
+			p.SetBit(p, pbits-2, 1)
+			p.SetBit(p, 0, 1)
+			if p.ProbablyPrime(20) && new(big.Int).GCD(nil, nil, bigE, new(big.Int).Sub(p, one)).Cmp(one) == 0 {
+				return p, nil
+			}
+		}
+	}
+	p, err := prime(bits - bits/2)
+	if err != nil {
+		return nil, err
+	}
+	q := p
+	for q.Cmp(p) == 0 {
+		if q, err = prime(bits / 2); err != nil {
+			return nil, err
+		}
+	}
+	phi := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))
+	key := &rsa.PrivateKey{
+		PublicKey: rsa.PublicKey{N: new(big.Int).Mul(p, q), E: e},
+		D:         new(big.Int).ModInverse(bigE, phi),
+		Primes:    []*big.Int{p, q},
+	}
+	if err := key.Validate(); err != nil {
+		return nil, err
+	}
+	key.Precompute()
+	return key, nil
 }
 
 func (r *rsaScheme) Sign(priv, msg []byte) ([]byte, error) {
@@ -88,7 +118,7 @@ func (r *rsaScheme) Sign(priv, msg []byte) ([]byte, error) {
 	// process's entropy pool. PSS output length is fixed by the modulus, so
 	// unlike ECDSA this never affects flight sizes; deriving the salt just
 	// removes one more run-to-run difference from captured wire bytes.
-	salt := newDetReader("pqtls-pss-salt", priv, digest[:])
+	salt := drbg.Derive("pqtls-pss-salt", priv, digest[:])
 	return rsa.SignPSS(salt, key, crypto.SHA256, digest[:], &rsa.PSSOptions{
 		SaltLength: rsa.PSSSaltLengthEqualsHash,
 	})
@@ -112,7 +142,7 @@ func (r *rsaScheme) Verify(pub, msg, sig []byte) bool {
 // ed25519Scheme is Ed25519, the smallest and fastest classical baseline.
 // It is naturally reproducible: keygen reads exactly 32 bytes from its rng
 // (so seeded credential builds regenerate byte-identical keys) and signing
-// is deterministic by construction — no detrand derivation needed.
+// is deterministic by construction — no derived nonce needed.
 type ed25519Scheme struct{}
 
 func (ed25519Scheme) Name() string       { return "ed25519" }
@@ -194,17 +224,12 @@ func (e *ecdsaScheme) GenerateKey(rng io.Reader) (pub, priv []byte, err error) {
 // bytes from rng, bypassing ecdsa.GenerateKey: the stdlib generator is
 // deliberately non-reproducible from a seeded reader (it consumes a byte of
 // the stream at random), which would defeat the seeded credential builds
-// that keep regenerated tables byte-identical across worker counts. The
-// eight extra bytes make the modular reduction's bias negligible.
+// that keep regenerated tables byte-identical across worker counts.
 func deterministicECDSAKey(curve elliptic.Curve, rng io.Reader) (*ecdsa.PrivateKey, error) {
-	n := curve.Params().N
-	buf := make([]byte, (n.BitLen()+7)/8+8)
-	if _, err := io.ReadFull(rng, buf); err != nil {
+	d, err := drbg.Scalar(rng, curve.Params().N)
+	if err != nil {
 		return nil, err
 	}
-	d := new(big.Int).SetBytes(buf)
-	d.Mod(d, new(big.Int).Sub(n, big.NewInt(1)))
-	d.Add(d, big.NewInt(1))
 	key := &ecdsa.PrivateKey{D: d}
 	key.Curve = curve
 	key.X, key.Y = curve.ScalarBaseMult(d.Bytes())
@@ -243,15 +268,12 @@ func (e *ecdsaScheme) Sign(priv, msg []byte) ([]byte, error) {
 	digest := sha256.Sum256(msg)
 	n := e.curve.Params().N
 	z := hashToInt(digest[:], n)
-	rng := newDetReader("pqtls-ecdsa-nonce", priv, digest[:])
-	buf := make([]byte, (n.BitLen()+7)/8+8)
+	rng := drbg.Derive("pqtls-ecdsa-nonce", priv, digest[:])
 	for {
-		if _, err := io.ReadFull(rng, buf); err != nil {
+		k, err := drbg.Scalar(rng, n)
+		if err != nil {
 			return nil, err
 		}
-		k := new(big.Int).SetBytes(buf)
-		k.Mod(k, new(big.Int).Sub(n, big.NewInt(1)))
-		k.Add(k, big.NewInt(1))
 		rx, _ := e.curve.ScalarBaseMult(k.Bytes())
 		r := new(big.Int).Mod(rx, n)
 		if r.Sign() == 0 {

@@ -3,6 +3,8 @@ package sig
 import (
 	"bytes"
 	"testing"
+
+	"pqtls/internal/drbg"
 )
 
 // TestContextsMatchScheme pins NewSigner against the one-shot Scheme path
@@ -11,7 +13,7 @@ import (
 func TestContextsMatchScheme(t *testing.T) {
 	for _, name := range []string{"dilithium3", "falcon512", "p384_dilithium3"} {
 		s := MustByName(name)
-		pub, priv, err := s.GenerateKey(newDetReader("ctx-" + name))
+		pub, priv, err := s.GenerateKey(drbg.Derive("ctx-" + name))
 		if err != nil {
 			t.Fatal(err)
 		}

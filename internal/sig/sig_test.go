@@ -2,8 +2,12 @@ package sig
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
+
+	"pqtls/internal/drbg"
 )
 
 // The SA labels of Table 2b plus rsa3072_dilithium2 from Table 4b.
@@ -176,23 +180,25 @@ func TestMalformedComposite(t *testing.T) {
 
 // Classical signing must be derandomized (RFC 6979 style) and seeded keygen
 // reproducible: ECDSA's variable-length DER signatures would otherwise
-// jitter flight sizes between runs and break the byte-identical table gates.
+// jitter flight sizes between runs and break the byte-identical table gates,
+// and a seeded RSA key that differs per process would change every capture.
 func TestClassicalDeterminism(t *testing.T) {
 	t.Parallel()
-	for _, name := range []string{"ecdsa-p256", "ecdsa-p384", "ecdsa-p521", "rsa:1024", "p256_dilithium2"} {
+	for _, name := range []string{
+		"ecdsa-p256", "ecdsa-p384", "ecdsa-p521", "rsa:1024", "rsa:2048",
+		"p256_dilithium2", "rsa3072_dilithium2",
+	} {
 		s := MustByName(name)
-		pub1, priv1, err := s.GenerateKey(newDetReader("seed"))
+		pub1, priv1, err := s.GenerateKey(drbg.Derive("seed"))
 		if err != nil {
 			t.Fatalf("%s: keygen: %v", name, err)
 		}
-		pub2, priv2, err := s.GenerateKey(newDetReader("seed"))
+		pub2, priv2, err := s.GenerateKey(drbg.Derive("seed"))
 		if err != nil {
 			t.Fatalf("%s: keygen: %v", name, err)
 		}
-		if name != "rsa:1024" { // stdlib RSA keygen is inherently non-reproducible
-			if !bytes.Equal(pub1, pub2) || !bytes.Equal(priv1, priv2) {
-				t.Errorf("%s: seeded keygen not reproducible", name)
-			}
+		if !bytes.Equal(pub1, pub2) || !bytes.Equal(priv1, priv2) {
+			t.Errorf("%s: seeded keygen not reproducible", name)
 		}
 		msg := []byte("determinism probe")
 		sig1, err := s.Sign(priv1, msg)
@@ -209,5 +215,22 @@ func TestClassicalDeterminism(t *testing.T) {
 		if !s.Verify(pub1, msg, sig1) {
 			t.Errorf("%s: deterministic signature does not verify", name)
 		}
+	}
+}
+
+// TestSeededRSAKeyPinned pins the rsa:2048 public key drawn from a fixed
+// stream, so a change to deterministicRSAKey's candidate loop, or a Go
+// release whose ProbablyPrime answers differently, shows up here as a diff
+// and not as silently different credentials and captures.
+func TestSeededRSAKeyPinned(t *testing.T) {
+	t.Parallel()
+	pub, _, err := MustByName("rsa:2048").GenerateKey(drbg.Derive("rsa-kat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(pub)
+	const want = "07eae5f17464bcb3c3b1f6908527df70063505dda7af8ed445af69e66c85ea99"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("rsa:2048 public key from drbg.Derive(\"rsa-kat\"): SHA-256 %s, want %s", got, want)
 	}
 }

@@ -28,11 +28,11 @@ type Client struct {
 
 	kemPriv []byte
 
-	// HRR state: the first ClientHello's bytes and identifiers, and
-	// whether a retry already happened.
-	ch1Msg    []byte
-	sessionID [32]byte
-	retried   bool
+	// HRR state: the first ClientHello and its bytes, and whether a retry
+	// already happened.
+	ch1     *clientHello
+	ch1Msg  []byte
+	retried bool
 
 	sendHC   *halfConn // client handshake traffic
 	recvHC   *halfConn // server handshake traffic
@@ -126,7 +126,7 @@ func (c *Client) Start() ([]Record, error) {
 	if _, err := io.ReadFull(rng, ch.sessionID[:]); err != nil {
 		return nil, err
 	}
-	c.sessionID = ch.sessionID
+	c.ch1 = ch
 	msg := c.marshalHello(ch, nil)
 	c.ch1Msg = msg
 	c.ks.addMessage(msg)
@@ -149,8 +149,9 @@ func (c *Client) marshalHello(ch *clientHello, prior []byte) []byte {
 }
 
 // retryHello answers a HelloRetryRequest: regenerate the key share for the
-// server-selected group and rebuild the ClientHello, re-offering any PSK,
-// with the transcript restarted per RFC 8446 §4.4.1.
+// server-selected group and resend the first ClientHello with only that
+// share replaced (RFC 8446 §4.1.2), re-offering any PSK, with the
+// transcript restarted per RFC 8446 §4.4.1.
 func (c *Client) retryHello(hrrMsg []byte, group uint16) ([]Record, error) {
 	if c.retried {
 		return nil, alertf(AlertUnexpectedMessage, "tls13: second HelloRetryRequest")
@@ -177,22 +178,10 @@ func (c *Client) retryHello(hrrMsg []byte, group uint16) ([]Record, error) {
 	c.kemPriv = priv
 	c.retryGroup = group
 
-	sigAlg, err := SigID(c.cfg.SigName)
-	if err != nil {
-		return nil, err
-	}
-	ch := &clientHello{
-		serverName: c.cfg.ServerName,
-		groups:     []uint16{group},
-		sigAlgs:    []uint16{sigAlg},
-		keyShares:  []keyShare{{group: group, data: pub}},
-		sessionID:  c.sessionID,
-	}
-	if _, err := io.ReadFull(rng, ch.random[:]); err != nil {
-		return nil, err
-	}
+	ch := *c.ch1
+	ch.keyShares = []keyShare{{group: group, data: pub}}
 	prior := append(messageHash(c.ch1Msg), hrrMsg...)
-	msg := c.marshalHello(ch, prior)
+	msg := c.marshalHello(&ch, prior)
 	c.ks = newKeySchedule()
 	c.ks.addMessage(prior)
 	c.ks.addMessage(msg)
@@ -273,7 +262,7 @@ func (c *Client) tryProcessServerHello() error {
 		endSSL()
 		return err
 	}
-	if sh.sessionID != c.sessionID {
+	if sh.sessionID != c.ch1.sessionID {
 		endSSL()
 		return alertf(AlertIllegalParameter, "tls13: ServerHello does not echo the session id")
 	}

@@ -1,7 +1,9 @@
 package tls13
 
 import (
+	"bytes"
 	"net"
+	"slices"
 	"testing"
 )
 
@@ -79,6 +81,66 @@ func TestHRRAcrossFamilies(t *testing.T) {
 	runHRRHandshake(t, "kyber512", "p256_kyber512")
 }
 
+// The second ClientHello is the first with only key_share replaced (RFC
+// 8446 §4.1.2): the same random, session id, groups and signature
+// algorithms, and a fresh share for the group the HRR names. A resuming
+// client re-offers the same ticket.
+func TestRetryHelloRepeatsFirst(t *testing.T) {
+	t.Parallel()
+	for _, resume := range []bool{false, true} {
+		cliCfg, srvCfg := testConfigs(t, "kyber512", "ed25519", BufferImmediate)
+		if resume {
+			srvCfg.TicketKey = &[ticketKeySize]byte{3}
+			cliCfg.Session = fullHandshakeWithTicket(t, cliCfg, srvCfg)
+		}
+		cliCfg.KEMName = "x25519"
+		cliCfg.SupportedKEMs = []string{"kyber512"}
+		cli, err := NewClient(cliCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(srvCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hello1, err := cli.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		flushes, err := srv.Respond(hello1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hello2, _, err := cli.Consume(flushes[0].Records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch1, err := parseClientHello(body(hello1[0].Payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch2, err := parseClientHello(body(hello2[0].Payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ch2.random != ch1.random || ch2.sessionID != ch1.sessionID {
+			t.Errorf("resume %v: CH2 random or session id differs from CH1", resume)
+		}
+		if !slices.Equal(ch2.groups, ch1.groups) || !slices.Equal(ch2.sigAlgs, ch1.sigAlgs) {
+			t.Errorf("resume %v: CH2 groups %v, sig algs %v; CH1 %v, %v",
+				resume, ch2.groups, ch2.sigAlgs, ch1.groups, ch1.sigAlgs)
+		}
+		if ch2.psk != resume || !bytes.Equal(ch2.pskIdentity, ch1.pskIdentity) {
+			t.Errorf("resume %v: CH2 offers PSK %v with identity equal to CH1's: %v",
+				resume, ch2.psk, bytes.Equal(ch2.pskIdentity, ch1.pskIdentity))
+		}
+		if len(ch2.keyShares) != 1 || ch2.keyShares[0].group != groupIDs["kyber512"] ||
+			bytes.Equal(ch2.keyShares[0].data, ch1.keyShares[0].data) {
+			t.Errorf("resume %v: CH2 does not carry one fresh kyber512 share", resume)
+		}
+	}
+}
+
 // A server must not send a second HRR, and a client must reject one.
 func TestSecondHRRRejected(t *testing.T) {
 	t.Parallel()
@@ -89,11 +151,11 @@ func TestSecondHRRRejected(t *testing.T) {
 	if _, err := cli.Start(); err != nil {
 		t.Fatal(err)
 	}
-	hrr1 := Record{Type: RecordHandshake, Payload: (&serverHello{sessionID: cli.sessionID, group: groupIDs["kyber512"], hrr: true}).marshal()}
+	hrr1 := Record{Type: RecordHandshake, Payload: (&serverHello{sessionID: cli.ch1.sessionID, group: groupIDs["kyber512"], hrr: true}).marshal()}
 	if _, _, err := cli.Consume([]Record{hrr1}); err != nil {
 		t.Fatal(err)
 	}
-	hrr2 := Record{Type: RecordHandshake, Payload: (&serverHello{sessionID: cli.sessionID, group: groupIDs["p256"], hrr: true}).marshal()}
+	hrr2 := Record{Type: RecordHandshake, Payload: (&serverHello{sessionID: cli.ch1.sessionID, group: groupIDs["p256"], hrr: true}).marshal()}
 	if _, _, err := cli.Consume([]Record{hrr2}); err == nil {
 		t.Error("second HRR accepted")
 	} else if alertFor(err) != AlertUnexpectedMessage {
@@ -123,7 +185,7 @@ func TestHRRUnofferedGroupRejected(t *testing.T) {
 	if _, err := cli.Start(); err != nil {
 		t.Fatal(err)
 	}
-	hrr := Record{Type: RecordHandshake, Payload: (&serverHello{sessionID: cli.sessionID, group: groupIDs["bikel1"], hrr: true}).marshal()}
+	hrr := Record{Type: RecordHandshake, Payload: (&serverHello{sessionID: cli.ch1.sessionID, group: groupIDs["bikel1"], hrr: true}).marshal()}
 	if _, _, err := cli.Consume([]Record{hrr}); err == nil {
 		t.Error("HRR for unoffered group accepted")
 	} else if alertFor(err) != AlertIllegalParameter {
