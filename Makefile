@@ -52,9 +52,9 @@ fuzz-smoke:
 live-smoke:
 	sh scripts/live_smoke.sh
 
-# phases-smoke exercises the observability subsystem end to end: `pqbench
-# phases` for a classical and a PQ cell (JSONL schema self-check, flight-wait
-# visible), then a real pqtls-server scraped over /metrics and /healthz.
+# phases-smoke scrapes a real pqtls-server over /metrics and /healthz after
+# one pqtls-client handshake; the `pqbench phases` traces are tier-1 goldens
+# (TestPhasesGolden).
 phases-smoke:
 	sh scripts/phases_smoke.sh
 

@@ -11,7 +11,7 @@ import (
 	"pqtls/internal/tls13"
 )
 
-var update = flag.Bool("update", false, "rewrite the results/ goldens (table3.txt, sample.pcap) from the current code")
+var update = flag.Bool("update", false, "rewrite the results/ goldens (table3.txt, sample.pcap, the eight phases_* files) from the current code")
 
 // TestTable3Golden regenerates `pqbench whitebox -samples 7` in-process and
 // compares it byte for byte with the committed results/table3.txt. Run with

@@ -47,17 +47,17 @@ type LibShare struct {
 
 // LibSplit is one endpoint's Table 3 library split, largest share first
 // (ties by name), for a handshake that cost that endpoint cpu and put pkts
-// packets on the wire in both directions. Under the cost model every charge
-// sits inside a libcrypto span, so the endpoint's CPU is all libcrypto and
-// libssl and libc carry nothing; kernel and NIC-driver work scale with the
-// packets the endpoint sends and receives, and the testbed tooling costs a
-// fixed amount per handshake.
+// packets on the wire in both directions. The cost model charges only
+// public-key compute, which is counted as libcrypto, so the endpoint's CPU
+// is all libcrypto and libssl and libc carry nothing; kernel and NIC-driver
+// work scale with the packets the endpoint sends and receives, and the
+// testbed tooling costs a fixed amount per handshake.
 func LibSplit(cpu time.Duration, pkts int) []LibShare {
 	costs := map[string]time.Duration{
-		tls13.LibCrypto: cpu,
-		"kernel":        time.Duration(pkts) * kernelPerPacket,
-		"ixgbe":         time.Duration(pkts) * ixgbePerPacket,
-		"python":        pythonPerHS,
+		"libcrypto": cpu,
+		"kernel":    time.Duration(pkts) * kernelPerPacket,
+		"ixgbe":     time.Duration(pkts) * ixgbePerPacket,
+		"python":    pythonPerHS,
 	}
 	var total time.Duration
 	for _, d := range costs {
@@ -245,7 +245,7 @@ func RunHandshake(opts RunOptions) (*HandshakeResult, error) {
 	srvCfg := &tls13.Config{
 		KEMName: opts.KEM, SigName: opts.Sig, ServerName: "server.example",
 		Chain: creds.chain, PrivateKey: creds.priv, Buffer: opts.Buffer,
-		TicketKey: &resumptionTicketKey,
+		Tickets: resumptionTickets,
 	}
 	clientKEM := opts.KEM
 	if opts.ClientKEM != "" {
@@ -411,9 +411,10 @@ func BufferName(p tls13.BufferPolicy) string {
 	return "default"
 }
 
-// resumptionTicketKey is the static key server instances share so sessions
-// resume across simulated handshakes.
-var resumptionTicketKey = [16]byte{'p', 'q', 't', 'l', 's', '-', 't', 'i', 'c', 'k', 'e', 't', '-', 'k', 'e', 'y'}
+// resumptionTickets is the one ticket store, over a static key, that every
+// simulated server seals and redeems through, so sessions resume across
+// simulated handshakes.
+var resumptionTickets = tls13.NewTicketStore([16]byte{'p', 'q', 't', 'l', 's', '-', 't', 'i', 'c', 'k', 'e', 't', '-', 'k', 'e', 'y'})
 
 // obtainSession runs one un-simulated full handshake to get a ticket.
 func obtainSession(cliCfg, srvCfg *tls13.Config) (*tls13.Session, error) {

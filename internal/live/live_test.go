@@ -312,7 +312,7 @@ func TestShutdownIdempotent(t *testing.T) {
 }
 
 // TestStoreSharedAcrossRuntimes checks the ticket-store plumbing end to
-// end: two separate runtimes constructed over the same TicketKey resume
+// end: two separate runtimes whose ticket stores share one key resume
 // each other's sessions, the property a multi-instance deployment needs.
 func TestStoreSharedAcrossRuntimes(t *testing.T) {
 	key := [16]byte{'s', 'h', 'a', 'r', 'e', 'd', '-', 's', 't', 'e', 'k', '-', 't', 'e', 's', 't'}
@@ -328,7 +328,8 @@ func TestStoreSharedAcrossRuntimes(t *testing.T) {
 		srv, err := live.Serve(ln, live.Options{
 			Config: &tls13.Config{
 				KEMName: "x25519", SigName: "ecdsa-p256", ServerName: "server.example",
-				Chain: creds.Chain, PrivateKey: creds.Priv, TicketKey: &key,
+				Chain: creds.Chain, PrivateKey: creds.Priv,
+				Tickets: tls13.NewTicketStore(key),
 			},
 			IssueTickets: true,
 		})

@@ -165,15 +165,11 @@ type Server struct {
 func resolveConfig(tmpl *tls13.Config) (*tls13.Config, error) {
 	cfg := *tmpl
 	if cfg.Tickets == nil {
-		if cfg.TicketKey != nil {
-			cfg.Tickets = tls13.NewTicketStore(*cfg.TicketKey)
-		} else {
-			store, err := tls13.NewRandomTicketStore()
-			if err != nil {
-				return nil, fmt.Errorf("live: ticket store: %w", err)
-			}
-			cfg.Tickets = store
+		store, err := tls13.NewRandomTicketStore()
+		if err != nil {
+			return nil, fmt.Errorf("live: ticket store: %w", err)
 		}
+		cfg.Tickets = store
 	}
 	if cfg.Signer == nil && len(cfg.PrivateKey) > 0 {
 		scheme, err := sig.ByName(cfg.SigName)

@@ -24,14 +24,13 @@ type PhaseStat struct {
 }
 
 // PhaseSums returns the per-phase summed durations of one trace's depth-0
-// phase spans, plus first-seen phase order. Library (kind "lib") spans and
-// nested phases are excluded — they overlap the top-level phases and would
-// double count.
+// phase spans, plus first-seen phase order. Nested phases are excluded —
+// they overlap the top-level phases and would double count.
 func PhaseSums(t *Tracer) (map[string]time.Duration, []string) {
 	sums := map[string]time.Duration{}
 	var order []string
 	for _, s := range t.Spans() {
-		if s.Kind != "phase" || s.Depth != 0 {
+		if s.Depth != 0 {
 			continue
 		}
 		if _, ok := sums[s.Name]; !ok {

@@ -6,7 +6,7 @@
 // internal/stats — so every layer of the stack (tls13 hooks, the harness
 // drive loop, loadgen, the live server runtime) can feed it without import
 // cycles. The tls13.Hooks seam is satisfied structurally: Tracer and
-// PhaseHooks implement Span/Phase/Charge without obs importing tls13.
+// PhaseHooks implement Phase/Charge without obs importing tls13.
 //
 // Three consumers share the code here:
 //

@@ -32,9 +32,6 @@ const (
 	helpPubkeyOps    = "Public-key operations performed, by operation and algorithm."
 )
 
-// Span is a no-op: the metrics break time down by phase, not by library.
-func (p *PhaseHooks) Span(lib string) func() { return func() {} }
-
 // Phase times the phase into pqtls_handshake_phase_seconds{phase=...}.
 // Closing is idempotent; out-of-order closes are inherently safe since each
 // closure owns its own start time.

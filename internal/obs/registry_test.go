@@ -174,7 +174,6 @@ func TestPhaseHooks(t *testing.T) {
 	end() // idempotent: must observe once
 	ph.Charge("kem/decaps", "mlkem768")
 	ph.Charge("kem/decaps", "mlkem768")
-	ph.Span("libssl")() // no-op
 	snap := reg.Histogram(MetricPhaseSeconds, "", "phase", "kem-decap").Snapshot()
 	if got := snap.Count(); got != 1 {
 		t.Errorf("phase observations = %d, want 1", got)

@@ -20,15 +20,14 @@ type Meta struct {
 	Resumed  bool   // PSK-resumed handshake
 }
 
-// Span is one closed region of a handshake trace. Start and End are offsets
+// Span is one closed handshake phase of a trace. Start and End are offsets
 // from the trace origin (the Tracer's construction time), so spans from
 // modeled (virtual-clock) and live (wall-clock) runs read identically.
 type Span struct {
-	Kind  string // "phase" (protocol phase) or "lib" (library CPU bucket)
 	Name  string
 	Start time.Duration
 	End   time.Duration
-	Depth int // nesting depth within its kind; aggregation uses depth 0 only
+	Depth int // nesting depth; aggregation uses depth 0 only
 	// Op and Alg record the public-key operations charged while this span
 	// was the innermost open phase (comma-joined when several, e.g. a chain
 	// validation verifying two certificates).
@@ -41,8 +40,8 @@ type Span struct {
 // Dur returns the span duration.
 func (s *Span) Dur() time.Duration { return s.End - s.Start }
 
-// Tracer records the span tree of a single handshake endpoint. It satisfies
-// the tls13.Hooks interface structurally (Span/Phase/Charge) so it can be
+// Tracer records the phase tree of a single handshake endpoint. It satisfies
+// the tls13.Hooks interface structurally (Phase/Charge) so it can be
 // installed on a Config — alone or stacked via tls13.MultiHooks.
 //
 // A Tracer is used from one handshake's goroutine only; it is not safe for
@@ -55,7 +54,7 @@ type Tracer struct {
 	now    func() time.Time
 	origin time.Time
 	spans  []*Span
-	open   map[string][]*Span // per-kind open-span stack
+	open   []*Span // open-phase stack, innermost last
 }
 
 // NewTracer starts a trace. now supplies the clock — time.Now for live
@@ -65,12 +64,7 @@ func NewTracer(meta Meta, now func() time.Time) *Tracer {
 	if now == nil {
 		now = time.Now
 	}
-	return &Tracer{
-		meta:   meta,
-		now:    now,
-		origin: now(),
-		open:   map[string][]*Span{},
-	}
+	return &Tracer{meta: meta, now: now, origin: now()}
 }
 
 // Meta returns the trace identity.
@@ -78,15 +72,11 @@ func (t *Tracer) Meta() Meta { return t.meta }
 
 func (t *Tracer) at() time.Duration { return t.now().Sub(t.origin) }
 
-func (t *Tracer) push(kind, name string) func() {
-	s := &Span{
-		Kind:  kind,
-		Name:  name,
-		Start: t.at(),
-		Depth: len(t.open[kind]),
-	}
+// Phase opens a named handshake phase (tls13.Hooks).
+func (t *Tracer) Phase(name string) func() {
+	s := &Span{Name: name, Start: t.at(), Depth: len(t.open)}
 	t.spans = append(t.spans, s)
-	t.open[kind] = append(t.open[kind], s)
+	t.open = append(t.open, s)
 	return func() {
 		if s.closed {
 			return
@@ -95,30 +85,22 @@ func (t *Tracer) push(kind, name string) func() {
 		s.End = t.at()
 		// Out-of-order close: s may not be the top of the stack — remove it
 		// wherever it sits.
-		st := t.open[kind]
-		for i := len(st) - 1; i >= 0; i-- {
-			if st[i] == s {
-				t.open[kind] = append(st[:i], st[i+1:]...)
+		for i := len(t.open) - 1; i >= 0; i-- {
+			if t.open[i] == s {
+				t.open = append(t.open[:i], t.open[i+1:]...)
 				break
 			}
 		}
 	}
 }
 
-// Span opens a library CPU bucket region (tls13.Hooks).
-func (t *Tracer) Span(lib string) func() { return t.push("lib", lib) }
-
-// Phase opens a named handshake phase (tls13.Hooks).
-func (t *Tracer) Phase(name string) func() { return t.push("phase", name) }
-
 // Charge annotates the innermost open phase with a public-key operation
 // (tls13.Hooks). Charges outside any phase are dropped.
 func (t *Tracer) Charge(op, alg string) {
-	st := t.open["phase"]
-	if len(st) == 0 {
+	if len(t.open) == 0 {
 		return
 	}
-	s := st[len(st)-1]
+	s := t.open[len(t.open)-1]
 	if s.Op != "" {
 		s.Op += ","
 		s.Alg += ","
@@ -131,13 +113,7 @@ func (t *Tracer) Charge(op, alg string) {
 // loop uses it for flight-wait, which the sans-IO state machines never see.
 // Offsets are relative to the trace origin.
 func (t *Tracer) Add(name string, start, end time.Duration) {
-	t.spans = append(t.spans, &Span{
-		Kind:   "phase",
-		Name:   name,
-		Start:  start,
-		End:    end,
-		closed: true,
-	})
+	t.spans = append(t.spans, &Span{Name: name, Start: start, End: end, closed: true})
 }
 
 // Spans returns the closed spans in recording order. Abandoned (never
@@ -192,7 +168,7 @@ type spanRecord struct {
 	Buffer   string `json:"buffer,omitempty"`
 	Sample   int    `json:"sample"`
 	Resumed  bool   `json:"resumed,omitempty"`
-	Kind     string `json:"kind"`
+	Kind     string `json:"kind"` // always "phase"
 	Name     string `json:"name"`
 	Depth    int    `json:"depth"`
 	StartUS  int64  `json:"start_us"`
@@ -216,7 +192,7 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 				Buffer:   m.Buffer,
 				Sample:   m.Sample,
 				Resumed:  m.Resumed,
-				Kind:     s.Kind,
+				Kind:     "phase",
 				Name:     s.Name,
 				Depth:    s.Depth,
 				StartUS:  s.Start.Microseconds(),
@@ -254,8 +230,8 @@ func ValidateJSONL(r io.Reader) (int, error) {
 		if rec.Endpoint != "client" && rec.Endpoint != "server" {
 			return n, fmt.Errorf("line %d: endpoint %q not client|server", n, rec.Endpoint)
 		}
-		if rec.Kind != "phase" && rec.Kind != "lib" {
-			return n, fmt.Errorf("line %d: kind %q not phase|lib", n, rec.Kind)
+		if rec.Kind != "phase" {
+			return n, fmt.Errorf("line %d: kind %q not phase", n, rec.Kind)
 		}
 		if rec.Name == "" || rec.KEM == "" || rec.Sig == "" {
 			return n, fmt.Errorf("line %d: empty name/kem/sig", n)

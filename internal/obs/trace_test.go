@@ -31,12 +31,10 @@ func buildTrace() *Tracer {
 	// NewTracer consumed the first tick for the origin, so the first span
 	// starts at offset 100us.
 	endPhase := tr.Phase("server-hello") // start 100us
-	endLib := tr.Span("libssl")          // 200us
-	endLib()                             // 300us
-	endNested := tr.Phase("kem-decap")   // 400us, depth 1
+	endNested := tr.Phase("kem-decap")   // 200us, depth 1
 	tr.Charge("kem/decaps", "x25519")
-	endNested() // 500us
-	endPhase()  // 600us
+	endNested() // 300us
+	endPhase()  // 400us
 	tr.Add("flight-wait", 700*time.Microsecond, 1500*time.Microsecond)
 	return tr
 }
@@ -52,9 +50,8 @@ func TestGoldenJSONL(t *testing.T) {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
 	golden := strings.Join([]string{
-		`{"endpoint":"client","kem":"x25519","sig":"ed25519","buffer":"default","sample":3,"kind":"phase","name":"server-hello","depth":0,"start_us":100,"dur_us":500}`,
-		`{"endpoint":"client","kem":"x25519","sig":"ed25519","buffer":"default","sample":3,"kind":"lib","name":"libssl","depth":0,"start_us":200,"dur_us":100}`,
-		`{"endpoint":"client","kem":"x25519","sig":"ed25519","buffer":"default","sample":3,"kind":"phase","name":"kem-decap","depth":1,"start_us":400,"dur_us":100,"op":"kem/decaps","alg":"x25519"}`,
+		`{"endpoint":"client","kem":"x25519","sig":"ed25519","buffer":"default","sample":3,"kind":"phase","name":"server-hello","depth":0,"start_us":100,"dur_us":300}`,
+		`{"endpoint":"client","kem":"x25519","sig":"ed25519","buffer":"default","sample":3,"kind":"phase","name":"kem-decap","depth":1,"start_us":200,"dur_us":100,"op":"kem/decaps","alg":"x25519"}`,
 		`{"endpoint":"client","kem":"x25519","sig":"ed25519","buffer":"default","sample":3,"kind":"phase","name":"flight-wait","depth":0,"start_us":700,"dur_us":800}`,
 		``,
 	}, "\n")
@@ -65,8 +62,8 @@ func TestGoldenJSONL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ValidateJSONL: %v", err)
 	}
-	if n != 4 {
-		t.Errorf("validated %d spans, want 4", n)
+	if n != 3 {
+		t.Errorf("validated %d spans, want 3", n)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 
 	"pqtls/internal/drbg"
 )
@@ -23,14 +22,6 @@ type rsaScheme struct {
 	name  string
 	bits  int
 	level int
-	// cachedKey is the one key of this size for callers with no reader: a
-	// fixed certificate per run, as in the paper, not keygen per handshake.
-	cachedKey func() (*rsa.PrivateKey, error)
-}
-
-func newRSAScheme(name string, bits, level int) *rsaScheme {
-	return &rsaScheme{name: name, bits: bits, level: level,
-		cachedKey: sync.OnceValues(func() (*rsa.PrivateKey, error) { return rsa.GenerateKey(rand.Reader, bits) })}
 }
 
 func (r *rsaScheme) Name() string { return r.name }
@@ -46,7 +37,7 @@ func (r *rsaScheme) SignatureSize() int { return r.bits / 8 }
 func (r *rsaScheme) GenerateKey(rng io.Reader) (pub, priv []byte, err error) {
 	var key *rsa.PrivateKey
 	if rng == nil {
-		key, err = r.cachedKey()
+		key, err = rsa.GenerateKey(rand.Reader, r.bits)
 	} else {
 		key, err = deterministicRSAKey(r.bits, rng)
 	}

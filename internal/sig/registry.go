@@ -66,10 +66,10 @@ func sphincsScheme(p *sphincs.Params, level int) Scheme {
 // init registers the signature algorithms of Tables 2b and 4b. Levels
 // follow the paper's grouping; rsa:1024/rsa:2048 are "sub-level one" (0).
 func init() {
-	rsa1024 := newRSAScheme("rsa:1024", 1024, 0)
-	rsa2048 := newRSAScheme("rsa:2048", 2048, 0)
-	rsa3072 := newRSAScheme("rsa:3072", 3072, 1)
-	rsa4096 := newRSAScheme("rsa:4096", 4096, 1)
+	rsa1024 := &rsaScheme{name: "rsa:1024", bits: 1024, level: 0}
+	rsa2048 := &rsaScheme{name: "rsa:2048", bits: 2048, level: 0}
+	rsa3072 := &rsaScheme{name: "rsa:3072", bits: 3072, level: 1}
+	rsa4096 := &rsaScheme{name: "rsa:4096", bits: 4096, level: 1}
 
 	p256 := &ecdsaScheme{name: "ecdsa-p256", curve: elliptic.P256(), level: 1}
 	p384 := &ecdsaScheme{name: "ecdsa-p384", curve: elliptic.P384(), level: 3}

@@ -148,24 +148,6 @@ func TestCompositeRequiresBoth(t *testing.T) {
 	}
 }
 
-// RSA keygen with rng=nil must reuse the cached key (fixed server certs);
-// with an explicit rng it must generate a fresh one.
-func TestRSAKeyCaching(t *testing.T) {
-	t.Parallel()
-	s := MustByName("rsa:2048")
-	pub1, _, err := s.GenerateKey(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub2, _, err := s.GenerateKey(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pub1, pub2) {
-		t.Error("cached RSA key changed between calls")
-	}
-}
-
 func TestMalformedComposite(t *testing.T) {
 	t.Parallel()
 	s := MustByName("p256_dilithium2")

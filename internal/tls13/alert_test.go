@@ -20,7 +20,7 @@ import (
 func TestAlertOnTheWire(t *testing.T) {
 	t.Parallel()
 	cliCfg, srvCfg := testConfigs(t, "x25519", "ed25519", BufferImmediate)
-	srvCfg.TicketKey = &[ticketKeySize]byte{4}
+	srvCfg.Tickets = NewTicketStore([ticketKeySize]byte{4})
 	sess := fullHandshakeWithTicket(t, cliCfg, srvCfg)
 
 	serve := func(conn net.Conn) error { _, err := ServerHandshake(conn, srvCfg); return err }

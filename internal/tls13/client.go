@@ -83,19 +83,14 @@ func (c *Client) Start() ([]Record, error) {
 	endPhase := c.cfg.phase(PhaseClientHello)
 	defer endPhase()
 	endKeygen := c.cfg.phase(PhaseKEMKeygen)
-	endCrypto := c.cfg.span(LibCrypto)
 	pub, priv, err := c.kem.GenerateKey(rng)
 	if err != nil {
-		endCrypto()
 		return nil, fmt.Errorf("tls13: key share generation: %w", err)
 	}
 	c.cfg.charge(OpKEMKeygen, c.kem.Name())
-	endCrypto()
 	endKeygen()
 	c.kemPriv = priv
 
-	endSSL := c.cfg.span(LibSSL)
-	defer endSSL()
 	group, err := GroupID(c.cfg.KEMName)
 	if err != nil {
 		return nil, err
@@ -167,10 +162,8 @@ func (c *Client) retryHello(hrrMsg []byte, group uint16) ([]Record, error) {
 		return nil, err
 	}
 	rng := cmp.Or(c.cfg.Rand, rand.Reader)
-	endCrypto := c.cfg.span(LibCrypto)
 	pub, priv, err := k.GenerateKey(rng)
 	c.cfg.charge(OpKEMKeygen, k.Name())
-	endCrypto()
 	if err != nil {
 		return nil, fmt.Errorf("tls13: HRR key share generation: %w", err)
 	}
@@ -210,9 +203,7 @@ func (c *Client) Consume(records []Record) (out []Record, done bool, err error) 
 				return nil, false, alertf(AlertUnexpectedMessage, "tls13: encrypted record before ServerHello")
 			}
 			endRead := c.cfg.phase(PhaseRecordRead)
-			endCrypto := c.cfg.span(LibCrypto)
 			innerType, plaintext, err := c.recvHC.open(rec)
-			endCrypto()
 			endRead()
 			if err != nil {
 				return nil, false, err
@@ -246,30 +237,24 @@ func (c *Client) tryProcessServerHello() error {
 	}
 	// Error paths below abandon the open phase: the handshake (and with it
 	// the trace) is discarded on error, and Hooks implementations tolerate
-	// unclosed spans.
+	// unclosed phases.
 	endPhase := c.cfg.phase(PhaseServerHello)
-	endSSL := c.cfg.span(LibSSL)
 	if typ != typeServerHello {
-		endSSL()
 		return alertf(AlertUnexpectedMessage, "tls13: expected ServerHello, got type %d", typ)
 	}
 	if len(rest) != 0 {
-		endSSL()
 		return errNotOnRecordBoundary
 	}
 	sh, err := parseServerHello(body)
 	if err != nil {
-		endSSL()
 		return err
 	}
 	if sh.sessionID != c.ch1.sessionID {
-		endSSL()
 		return alertf(AlertIllegalParameter, "tls13: ServerHello does not echo the session id")
 	}
 	full := c.rawBuf
 	c.rawBuf = nil
 	if sh.hrr {
-		endSSL()
 		endPhase()
 		out, err := c.retryHello(full, sh.group)
 		if err != nil {
@@ -283,19 +268,15 @@ func (c *Client) tryProcessServerHello() error {
 		wantGroup = c.retryGroup
 	}
 	if sh.group != wantGroup {
-		endSSL()
 		return alertf(AlertIllegalParameter, "tls13: server selected group %#04x, want %#04x", sh.group, wantGroup)
 	}
 	c.ks.addMessage(full)
-	endSSL()
 	endPhase()
 
 	// Decapsulate: the client-side KA cost of phase B.
 	endDecap := c.cfg.phase(PhaseKEMDecap)
-	endCrypto := c.cfg.span(LibCrypto)
 	ss, err := c.kem.Decapsulate(c.kemPriv, sh.keyShare)
 	if err != nil {
-		endCrypto()
 		return alertf(AlertIllegalParameter, "tls13: decapsulation: %w", err)
 	}
 	c.cfg.charge(OpKEMDecaps, c.kem.Name())
@@ -308,16 +289,13 @@ func (c *Client) tryProcessServerHello() error {
 	recvKey, recvIV := c.ks.trafficKeys(c.ks.serverHSTraffic[:])
 	c.recvHC, err = newHalfConn(recvKey, recvIV)
 	if err != nil {
-		endCrypto()
 		return err
 	}
 	sendKey, sendIV := c.ks.trafficKeys(c.ks.clientHSTraffic[:])
 	c.sendHC, err = newHalfConn(sendKey, sendIV)
 	if err != nil {
-		endCrypto()
 		return err
 	}
-	endCrypto()
 	c.state = stateAwaitEE
 	return nil
 }
@@ -360,14 +338,10 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 			return alertf(AlertUnexpectedMessage, "tls13: expected Certificate, got type %d", typ)
 		}
 		defer c.cfg.phase(PhaseCertVerify)()
-		endSSL := c.cfg.span(LibSSL)
 		rawCerts, err := parseCertificate(body)
-		endSSL()
 		if err != nil {
 			return err
 		}
-		endCrypto := c.cfg.span(LibCrypto)
-		defer endCrypto()
 		chain := make([]*pki.Certificate, len(rawCerts))
 		for i, raw := range rawCerts {
 			cert, err := pki.Unmarshal(raw)
@@ -410,11 +384,9 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 		if err != nil {
 			return err
 		}
-		endCrypto := c.cfg.span(LibCrypto)
 		content := certVerifyContent(c.ks.transcriptHash())
 		okSig := scheme.Verify(c.ServerCert.PublicKey, content, signature)
 		c.cfg.charge(OpSigVerify, name)
-		endCrypto()
 		if !okSig {
 			return alertf(AlertDecryptError, "tls13: CertificateVerify signature invalid")
 		}
@@ -427,9 +399,7 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 			return alertf(AlertUnexpectedMessage, "tls13: expected Finished, got type %d", typ)
 		}
 		defer c.cfg.phase(PhaseFinVerify)()
-		endCrypto := c.cfg.span(LibCrypto)
 		want := c.ks.finishedMsg(c.ks.serverHSTraffic[:], c.ks.transcriptHash())
-		endCrypto()
 		if !hmac.Equal(body, want) {
 			return alertf(AlertDecryptError, "tls13: server Finished verification failed")
 		}
@@ -445,7 +415,6 @@ func (c *Client) handleMessage(typ uint8, body, full []byte) error {
 // finalFlight builds the client's ChangeCipherSpec + Finished.
 func (c *Client) finalFlight() ([]Record, bool, error) {
 	defer c.cfg.phase(PhaseFinSend)()
-	endCrypto := c.cfg.span(LibCrypto)
 	mac := c.ks.finishedMsg(c.ks.clientHSTraffic[:], c.ks.transcriptHash())
 	finMsg := handshakeMsg(typeFinished, len(mac), func(b *wire.Builder) { b.AddBytes(mac) })
 	c.ks.deriveMaster()
@@ -453,7 +422,6 @@ func (c *Client) finalFlight() ([]Record, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	endCrypto()
 	// The paper notes client CCS and Finished always share one IP packet;
 	// they are one flush here.
 	return []Record{{Type: RecordChangeCipherSpec, Payload: []byte{1}}, rec}, true, nil

@@ -24,7 +24,7 @@ type transcript struct {
 func honestTranscript(tb testing.TB, kemName, sigName string) transcript {
 	tb.Helper()
 	cliCfg, srvCfg := testConfigs(tb, kemName, sigName, BufferDefault)
-	srvCfg.TicketKey = &[ticketKeySize]byte{1}
+	srvCfg.Tickets = NewTicketStore([ticketKeySize]byte{1})
 	cli, err := NewClient(cliCfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -94,7 +94,7 @@ func honestTranscript(tb testing.TB, kemName, sigName string) transcript {
 	if _, tr.ticket, err = hc.open(flight[0]); err != nil {
 		tb.Fatal(err)
 	}
-	tr.ticketState, err = srvCfg.sessionTickets().aead.Open(nil, sess.Ticket[:ticketNonceSize], sess.Ticket[ticketNonceSize:], nil)
+	tr.ticketState, err = srvCfg.Tickets.aead.Open(nil, sess.Ticket[:ticketNonceSize], sess.Ticket[ticketNonceSize:], nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func FuzzTicketStateParse(f *testing.F) {
 func TestParsedValuesOutliveTheirInput(t *testing.T) {
 	t.Parallel()
 	cliCfg, srvCfg := testConfigs(t, "x25519", "ed25519", BufferImmediate)
-	srvCfg.TicketKey = &[ticketKeySize]byte{2}
+	srvCfg.Tickets = NewTicketStore([ticketKeySize]byte{2})
 	cli, srv := runHandshake(t, cliCfg, srvCfg)
 	var sent, got []*Session
 	for i := 0; i < 2; i++ {

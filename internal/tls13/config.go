@@ -41,12 +41,6 @@ func ParseBufferPolicy(name string) (BufferPolicy, error) {
 // serverBufferSize is OpenSSL's internal buffer (Section 4 of the paper).
 const serverBufferSize = 4096
 
-// Library buckets of Hooks.Span, the grain of the paper's Table 3.
-const (
-	LibCrypto = "libcrypto"
-	LibSSL    = "libssl"
-)
-
 // Operation labels passed to a Meter when a public-key operation runs.
 const (
 	OpKEMKeygen = "kem/keygen"
@@ -111,9 +105,9 @@ type Config struct {
 	Roots *pki.Pool
 	// Buffer selects the server's flight-assembly behaviour.
 	Buffer BufferPolicy
-	// Hooks, when non-nil, observes the handshake: library spans (white-box
-	// buckets), named phases, and public-key operation charges. Stack
-	// multiple observers with MultiHooks. Hooks never affect timing —
+	// Hooks, when non-nil, observes the handshake: named phases and the
+	// public-key operations charged inside them. Stack multiple observers
+	// with MultiHooks. Hooks never affect timing —
 	// virtual time is owned by Meter alone.
 	Hooks Hooks
 	// Meter, when non-nil, switches the handshake to virtual compute time:
@@ -122,14 +116,11 @@ type Config struct {
 	Meter Meter
 	// Rand overrides crypto/rand (tests).
 	Rand io.Reader
-	// TicketKey enables session tickets on a server; instances sharing the
-	// key can resume each other's sessions.
-	TicketKey *[16]byte
-	// Tickets, when non-nil, supplies the shared session-ticket store and
-	// takes precedence over TicketKey. Connection-scoped Server values built
-	// from the same Config all seal and redeem through this one store, which
-	// is what lets a ticket issued on one connection resume on another (see
-	// internal/live).
+	// Tickets, when non-nil, enables session tickets on a server.
+	// Connection-scoped Server values built from the same Config all seal
+	// and redeem through this one store, which is what lets a ticket issued
+	// on one connection resume on another (see internal/live); stores built
+	// over the same key resume each other's sessions.
 	Tickets *TicketStore
 	// Session, when set on a client, resumes via PSK: the Certificate and
 	// CertificateVerify flights are skipped entirely.
@@ -141,10 +132,8 @@ type Config struct {
 	// cost is charged either way.
 	Signer sig.Signer
 
-	// certMsgCache and ticketCache memoize per-Config derived state (the
-	// marshaled Certificate message; the TicketStore behind a bare
-	// TicketKey). They are unsafe.Pointer instead of atomic.Pointer[T]
-	// because Config values are copied; see configcache.go.
+	// certMsgCache memoizes the marshaled Certificate message. It is an
+	// unsafe.Pointer instead of an atomic.Pointer[T] because Config values
+	// are copied; see configcache.go.
 	certMsgCache unsafe.Pointer // *certMsgCache
-	ticketCache  unsafe.Pointer // *ticketStoreCache
 }

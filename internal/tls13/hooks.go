@@ -5,27 +5,22 @@ package tls13
 // implementations and can be stacked with MultiHooks. The cost-model Meter
 // stays a separate seam (see Config.Meter).
 //
-// The three methods observe three different grains of the same handshake:
+// The two methods observe one handshake at the grain of its phases:
 //
-//   - Span(lib) opens a CPU region attributed to a "shared object" bucket
-//     (LibCrypto, LibSSL) — the paper's Table 3 white-box view.
 //   - Phase(name) opens a named handshake phase (Phase* constants) — the
 //     protocol-level decomposition (KEM decap, CertificateVerify sign, ...).
-//     Phases nest within and across library spans; implementations must
-//     tolerate out-of-order and repeated closes (error paths may abandon
-//     spans).
-//   - Charge(op, alg) observes one public-key operation. Unlike
-//     Config.Meter — which owns the virtual compute clock and is kept
-//     separate precisely so an observer can never advance simulated time —
-//     a hook's Charge is purely an observation.
+//     Phases nest; implementations must tolerate out-of-order and repeated
+//     closes (error paths may abandon phases).
+//   - Charge(op, alg) observes one public-key operation inside the
+//     innermost open phase. Unlike Config.Meter — which owns the virtual
+//     compute clock and is kept separate precisely so an observer can never
+//     advance simulated time — a hook's Charge is purely an observation.
 //
 // Concurrency: a Hooks value installed on a per-handshake Config (harness,
 // loadgen) is called from that handshake's goroutine only; a value shared
 // across connections (internal/live's metrics recorder) must be safe for
 // concurrent use.
 type Hooks interface {
-	// Span opens a region attributed to lib; the returned func closes it.
-	Span(lib string) func()
 	// Phase opens a named handshake phase; the returned func closes it.
 	Phase(name string) func()
 	// Charge observes a public-key operation (an Op* label) on alg.
@@ -99,18 +94,6 @@ func MultiHooks(hooks ...Hooks) Hooks {
 	return hs
 }
 
-func (m multiHooks) Span(lib string) func() {
-	ends := make([]func(), len(m))
-	for i, h := range m {
-		ends[i] = h.Span(lib)
-	}
-	return func() {
-		for i := len(ends) - 1; i >= 0; i-- {
-			ends[i]()
-		}
-	}
-}
-
 func (m multiHooks) Phase(name string) func() {
 	ends := make([]func(), len(m))
 	for i, h := range m {
@@ -129,16 +112,8 @@ func (m multiHooks) Charge(op, alg string) {
 	}
 }
 
-// nopEnd is the shared no-op span/phase closer for unhooked configs.
+// nopEnd is the shared no-op phase closer for unhooked configs.
 func nopEnd() {}
-
-// span is the nil-safe library-span helper.
-func (c *Config) span(lib string) func() {
-	if c == nil || c.Hooks == nil {
-		return nopEnd
-	}
-	return c.Hooks.Span(lib)
-}
 
 // phase is the nil-safe phase helper.
 func (c *Config) phase(name string) func() {

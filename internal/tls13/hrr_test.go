@@ -90,7 +90,7 @@ func TestRetryHelloRepeatsFirst(t *testing.T) {
 	for _, resume := range []bool{false, true} {
 		cliCfg, srvCfg := testConfigs(t, "kyber512", "ed25519", BufferImmediate)
 		if resume {
-			srvCfg.TicketKey = &[ticketKeySize]byte{3}
+			srvCfg.Tickets = NewTicketStore([ticketKeySize]byte{3})
 			cliCfg.Session = fullHandshakeWithTicket(t, cliCfg, srvCfg)
 		}
 		cliCfg.KEMName = "x25519"
@@ -212,7 +212,7 @@ func TestHRROverPipe(t *testing.T) {
 	} {
 		cliCfg, srvCfg := testConfigs(t, "kyber512", tc.sig, tc.buffer)
 		if tc.resume {
-			srvCfg.TicketKey = &[ticketKeySize]byte{3}
+			srvCfg.Tickets = NewTicketStore([ticketKeySize]byte{3})
 			cliCfg.Session = fullHandshakeWithTicket(t, cliCfg, srvCfg)
 		}
 		cliCfg.KEMName = "x25519"

@@ -140,7 +140,7 @@ func TestServerHandshakeLimits(t *testing.T) {
 func TestClientHelloFitsCap(t *testing.T) {
 	t.Parallel()
 	cliCfg, srvCfg := testConfigs(t, "x25519", "ed25519", BufferImmediate)
-	srvCfg.TicketKey = &[ticketKeySize]byte{1}
+	srvCfg.Tickets = NewTicketStore([ticketKeySize]byte{1})
 	sess := fullHandshakeWithTicket(t, cliCfg, srvCfg)
 
 	helloLen := func(records []Record) int {

@@ -75,9 +75,8 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 	rng := cmp.Or(s.cfg.Rand, rand.Reader)
 
 	// Error paths abandon the open phase: the handshake (and its trace) is
-	// discarded on error, and Hooks implementations tolerate unclosed spans.
+	// discarded on error, and Hooks implementations tolerate unclosed phases.
 	endPhase := s.cfg.phase(PhaseCHParse)
-	endSSL := s.cfg.span(LibSSL)
 	var chMsg []byte
 	for _, rec := range records {
 		if rec.Type != RecordHandshake {
@@ -87,20 +86,16 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 	}
 	typ, body, rest, ok := parseHandshakeMsg(chMsg)
 	if !ok {
-		endSSL()
 		return nil, alertf(AlertDecodeError, "tls13: truncated ClientHello")
 	}
 	if typ != typeClientHello {
-		endSSL()
 		return nil, alertf(AlertUnexpectedMessage, "tls13: expected ClientHello, got message type %d", typ)
 	}
 	if len(rest) != 0 {
-		endSSL()
 		return nil, errNotOnRecordBoundary
 	}
 	ch, err := parseClientHello(body)
 	if err != nil {
-		endSSL()
 		return nil, err
 	}
 	// The server's group and scheme are fixed by its Config; it accepts the
@@ -108,7 +103,6 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 	// (RFC 8446 §4.2.3, §4.2.8).
 	wantGroup, err := GroupID(s.cfg.KEMName)
 	if err != nil {
-		endSSL()
 		return nil, err
 	}
 	share, ok := ch.shareFor(wantGroup)
@@ -122,23 +116,19 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 			hrr := (&serverHello{sessionID: ch.sessionID, group: wantGroup, hrr: true}).marshal()
 			s.prior = append(messageHash(chMsg), hrr...)
 			s.ks.addMessage(s.prior)
-			endSSL()
 			endPhase()
 			return []Flush{{
 				Records: []Record{{Type: RecordHandshake, Payload: hrr}},
 				Offset:  s.cfg.now().Sub(start),
 			}}, nil
 		}
-		endSSL()
 		return nil, alertf(AlertHandshakeFailure, "tls13: client sent no key share for group %#04x (%s)", wantGroup, s.cfg.KEMName)
 	}
 	wantSig, err := SigID(s.cfg.SigName)
 	if err != nil {
-		endSSL()
 		return nil, err
 	}
 	if !slices.Contains(ch.sigAlgs, wantSig) {
-		endSSL()
 		return nil, alertf(AlertHandshakeFailure, "tls13: client does not offer sigalg %#04x (%s)", wantSig, s.cfg.SigName)
 	}
 	endPhase()
@@ -146,55 +136,43 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 	// certificate-free flow.
 	if ch.psk {
 		endRedeem := s.cfg.phase(PhaseTicketRedeem)
-		store := s.cfg.sessionTickets()
+		store := s.cfg.Tickets
 		if store == nil {
-			endSSL()
 			return nil, errNoTicketStore
 		}
 		psk, kemName, err := store.Open(ch.pskIdentity)
 		if err != nil {
-			endSSL()
 			return nil, err
 		}
 		if kemName != s.cfg.KEMName {
-			endSSL()
 			return nil, alertf(AlertHandshakeFailure, "tls13: ticket bound to %s, server uses %s", kemName, s.cfg.KEMName)
 		}
 		if !hmac.Equal(computeBinder(psk, s.prior, chMsg[:4+ch.bindersOff]), ch.pskBinder) {
-			endSSL()
 			return nil, alertf(AlertDecryptError, "tls13: PSK binder verification failed")
 		}
 		s.resumptionPSK = psk
 		endRedeem()
 	}
 	s.ks.addMessage(chMsg)
-	endSSL()
 
 	// Key agreement: encapsulate against the client's share.
 	endEncap := s.cfg.phase(PhaseKEMEncap)
-	endCrypto := s.cfg.span(LibCrypto)
 	ct, ss, err := s.kem.Encapsulate(rng, share)
 	if err != nil {
-		endCrypto()
 		return nil, alertf(AlertIllegalParameter, "tls13: encapsulation: %w", err)
 	}
 	s.cfg.charge(OpKEMEncaps, s.kem.Name())
-	endCrypto()
 	endEncap()
 
 	endPhase = s.cfg.phase(PhaseServerHello)
-	endSSL = s.cfg.span(LibSSL)
 	sh := &serverHello{group: wantGroup, keyShare: ct, sessionID: ch.sessionID}
 	if _, err := io.ReadFull(rng, sh.random[:]); err != nil {
-		endSSL()
 		return nil, err
 	}
 	shMsg := sh.marshal()
 	s.ks.addMessage(shMsg)
-	endSSL()
 	endPhase()
 
-	endCrypto = s.cfg.span(LibCrypto)
 	if s.resumptionPSK != nil {
 		s.ks.setEarlySecret(s.resumptionPSK)
 	}
@@ -202,16 +180,13 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 	sendKey, sendIV := s.ks.trafficKeys(s.ks.serverHSTraffic[:])
 	s.sendHC, err = newHalfConn(sendKey, sendIV)
 	if err != nil {
-		endCrypto()
 		return nil, err
 	}
 	recvKey, recvIV := s.ks.trafficKeys(s.ks.clientHSTraffic[:])
 	s.recvHC, err = newHalfConn(recvKey, recvIV)
 	if err != nil {
-		endCrypto()
 		return nil, err
 	}
-	endCrypto()
 
 	var timed []timedRecord
 	emit := func(rec Record) {
@@ -222,46 +197,39 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 	emit(Record{Type: RecordChangeCipherSpec, Payload: []byte{1}})
 
 	// EncryptedExtensions (empty list).
-	endSSL = s.cfg.span(LibSSL)
 	eeMsg := handshakeMsg(typeEncryptedExts, 2, func(b *wire.Builder) {
 		b.AddUint16LengthPrefixed(func(*wire.Builder) {}) // no extensions
 	})
 	s.ks.addMessage(eeMsg)
 	eeRecs, err := s.sealHandshake(eeMsg)
 	if err != nil {
-		endSSL()
 		return nil, err
 	}
 	for _, rec := range eeRecs {
 		emit(rec)
 	}
-	endSSL()
 
 	// Certificate and CertificateVerify — skipped entirely on resumption,
 	// which is what removes the PQ authentication cost from resumed
 	// handshakes.
 	if s.resumptionPSK == nil {
 		endPhase = s.cfg.phase(PhaseCertWrite)
-		endSSL = s.cfg.span(LibSSL)
 		// Marshaled once per Config; identical for every handshake (shared
 		// read-only bytes, sealHandshake clones record payloads).
 		certMsg := s.cfg.certificateMessage()
 		s.ks.addMessage(certMsg)
 		certRecs, err := s.sealHandshake(certMsg)
 		if err != nil {
-			endSSL()
 			endPhase()
 			return nil, err
 		}
 		for _, rec := range certRecs {
 			emit(rec)
 		}
-		endSSL()
 		endPhase()
 
 		// CertificateVerify: the handshake signature (the expensive step).
 		endPhase = s.cfg.phase(PhaseCVSign)
-		endCrypto = s.cfg.span(LibCrypto)
 		content := certVerifyContent(s.ks.transcriptHash())
 		var signature []byte
 		if s.cfg.Signer != nil {
@@ -270,37 +238,30 @@ func (s *Server) Respond(records []Record) ([]Flush, error) {
 			signature, err = s.scheme.Sign(s.cfg.PrivateKey, content)
 		}
 		if err != nil {
-			endCrypto()
 			return nil, fmt.Errorf("tls13: handshake signature: %w", err)
 		}
 		s.cfg.charge(OpSigSign, s.cfg.SigName)
-		endCrypto()
-		endSSL = s.cfg.span(LibSSL)
 		cvMsg := marshalCertVerify(wantSig, signature)
 		s.ks.addMessage(cvMsg)
 		cvRecs, err := s.sealHandshake(cvMsg)
 		if err != nil {
-			endSSL()
 			endPhase()
 			return nil, err
 		}
 		for _, rec := range cvRecs {
 			emit(rec)
 		}
-		endSSL()
 		endPhase()
 	}
 
 	// Server Finished.
 	endPhase = s.cfg.phase(PhaseFinSend)
-	endCrypto = s.cfg.span(LibCrypto)
 	mac := s.ks.finishedMsg(s.ks.serverHSTraffic[:], s.ks.transcriptHash())
 	finMsg := handshakeMsg(typeFinished, len(mac), func(b *wire.Builder) { b.AddBytes(mac) })
 	s.ks.addMessage(finMsg)
 	// The client's Finished covers the transcript through server Finished.
 	s.ks.finishedMACInto(&s.expectedClientFin, s.ks.clientHSTraffic[:], s.ks.transcriptHash())
 	s.ks.deriveMaster()
-	endCrypto()
 	finRecs, err := s.sealHandshake(finMsg)
 	if err != nil {
 		endPhase()
@@ -438,9 +399,7 @@ func (s *Server) Finish(records []Record) error {
 			return parseAlert(rec)
 		case RecordApplicationData:
 			endRead := s.cfg.phase(PhaseRecordRead)
-			endCrypto := s.cfg.span(LibCrypto)
 			innerType, plaintext, err := s.recvHC.open(rec)
-			endCrypto()
 			endRead()
 			if err != nil {
 				return err

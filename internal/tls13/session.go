@@ -36,14 +36,14 @@ const ticketKeySize = 16
 
 // SessionTicket builds the post-handshake NewSessionTicket flight (one
 // encrypted record under the server application traffic key). The ticket
-// seals the PSK under Config.TicketKey so any server instance holding the
-// same key can resume the session.
+// seals the PSK in Config.Tickets, so any server whose store holds the same
+// key can resume the session.
 func (s *Server) SessionTicket() ([]Record, *Session, error) {
 	if !s.done {
 		return nil, nil, errors.New("tls13: SessionTicket before handshake completion")
 	}
 	defer s.cfg.phase(PhaseTicketIssue)()
-	store := s.cfg.sessionTickets()
+	store := s.cfg.Tickets
 	if store == nil {
 		return nil, nil, errors.New("tls13: server has no ticket store configured")
 	}

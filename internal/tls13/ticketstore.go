@@ -174,6 +174,6 @@ func (ts *TicketStore) Stats() TicketStats {
 	return st
 }
 
-// errNoTicketStore is returned when a PSK arrives but the server has neither
-// a Tickets store nor a TicketKey.
+// errNoTicketStore is returned when a PSK arrives but the server has no
+// Tickets store.
 var errNoTicketStore = errors.New("tls13: client offered PSK but server has no ticket store")

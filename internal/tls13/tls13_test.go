@@ -5,22 +5,48 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 
 	"pqtls/internal/pki"
 	"pqtls/internal/sig"
 )
 
+// testCA is the RSA-2048 root every test chain hangs off; testRoot makes
+// it on first use.
+type testCA struct {
+	cert *pki.Certificate
+	priv []byte
+}
+
+var testRoot = sync.OnceValues(func() (testCA, error) {
+	cert, priv, err := pki.SelfSigned("Test Root CA", sig.MustByName("rsa:2048"), nil)
+	return testCA{cert, priv}, err
+})
+
+// testKeys holds one leaf key pair per scheme name, made on first use.
+// The root and the leaf keys are shared by the whole test binary: a fresh
+// RSA key per testConfigs call would dominate the package's run time.
+var testKeys sync.Map // scheme name -> func() ([2][]byte, error)
+
+func testKeyPair(name string) (pub, priv []byte, err error) {
+	f, _ := testKeys.LoadOrStore(name, sync.OnceValues(func() ([2][]byte, error) {
+		pub, priv, err := sig.MustByName(name).GenerateKey(nil)
+		return [2][]byte{pub, priv}, err
+	}))
+	kp, err := f.(func() ([2][]byte, error))()
+	return kp[0], kp[1], err
+}
+
 // testConfigs builds matching client and server configs for a suite.
 func testConfigs(t testing.TB, kemName, sigName string, buffer BufferPolicy) (*Config, *Config) {
 	t.Helper()
-	rootScheme := sig.MustByName("rsa:2048")
-	root, rootPriv, err := pki.SelfSigned("Test Root CA", rootScheme, nil)
+	ca, err := testRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	leafScheme := sig.MustByName(sigName)
-	leafPub, leafPriv, err := leafScheme.GenerateKey(nil)
+	root, rootPriv := ca.cert, ca.priv
+	leafPub, leafPriv, err := testKeyPair(sigName)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,8 +63,8 @@ type (
 	TicketStore = tls13.TicketStore
 	// BufferPolicy selects the server's flight-assembly behaviour.
 	BufferPolicy = tls13.BufferPolicy
-	// Hooks observe a handshake: phase spans, library CPU buckets, and
-	// public-key operation charges. Install on Config.Hooks — an obs.Tracer
+	// Hooks observe a handshake: its phases and the public-key operations
+	// charged inside them. Install on Config.Hooks — an obs.Tracer
 	// satisfies it, and tls13.MultiHooks stacks several observers.
 	Hooks = tls13.Hooks
 )

@@ -1,6 +1,7 @@
 package pqtls_test
 
 import (
+	"bytes"
 	"net"
 	"testing"
 
@@ -29,6 +30,28 @@ func TestPublicRegistries(t *testing.T) {
 	}
 	if s.SignatureSize() != 666 {
 		t.Errorf("falcon512 sig size %d, want 666", s.SignatureSize())
+	}
+}
+
+// A server that mints its own root and then its leaf key, as
+// cmd/pqtls-server does, must get two distinct key pairs: with an RSA root,
+// a leaf that shared the root's key would be signed by itself.
+func TestRSARootAndLeafKeysDiffer(t *testing.T) {
+	t.Parallel()
+	root, _, err := pqtls.SelfSigned("PQTLS Root CA", "rsa:2048")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme, err := pqtls.SignatureByName("rsa:2048")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafPub, _, err := scheme.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(root.PublicKey, leafPub) {
+		t.Error("root and leaf share one RSA key pair")
 	}
 }
 

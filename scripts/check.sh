@@ -42,7 +42,7 @@ sh scripts/fuzz_smoke.sh
 echo "==> live smoke: closed-loop loopback handshakes under -race, none failed"
 sh scripts/live_smoke.sh
 
-echo "==> phases smoke: span traces + Prometheus /metrics end to end"
+echo "==> phases smoke: Prometheus /metrics + /healthz end to end"
 sh scripts/phases_smoke.sh
 
 echo "==> determinism spot check: pqbench all-kem, workers 1 vs 8"
